@@ -159,8 +159,8 @@ class StrategySpec:
 class SnapshotCadence:
     """How often the run measures S and (optionally) d.
 
-    d_every=None disables the path-length observable entirely; it costs
-    O(V*E) per evaluation and dominates everything else when enabled.
+    d_every=None disables the path-length observable, the most expensive
+    one: each evaluation runs a BFS from every cluster member.
     """
 
     s_every: int

@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
 
-# clusters at least this large use the scipy BFS kernel for pairwise distances
-_SCIPY_CUTOFF = 512
-_SCIPY_CHUNK = 256
+# BFS sources per chunk of the distance kernel, in 64-bit words; its
+# arrays grow linearly with this and the live edge count
+_CHUNK_WORDS = 4
 
 
 @dataclass(frozen=True)
@@ -242,76 +242,78 @@ class Graph:
             raise ValueError("duplicate member ids")
         if len(ids) < 2:
             return None
-        if len(ids) >= _SCIPY_CUTOFF:
-            total = self._pair_distance_sum_scipy(ids)
-        else:
-            total = self._pair_distance_sum_python(ids)
         k = len(ids)
-        return total / (k * (k - 1))
+        return self._pair_distance_sum(ids) / (k * (k - 1))
 
-    def _pair_distance_sum_python(self, ids: list[int]) -> int:
-        """Ordered-pair distance total via one BFS per member."""
-        n = self.node_count
-        alive = self.alive
-        adjacency = self.adjacency
-        is_member = bytearray(n)
-        for v in ids:
-            is_member[v] = 1
-        k = len(ids)
-        total = 0
-        for src in ids:
-            dist = [-1] * n
-            dist[src] = 0
-            frontier = [src]
-            reached = 1
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    dv = dist[v] + 1
-                    for u in adjacency[v]:
-                        if alive[u] and dist[u] < 0:
-                            dist[u] = dv
-                            nxt.append(u)
-                            if is_member[u]:
-                                total += dv
-                                reached += 1
-                frontier = nxt
-            if reached < k:
-                raise ValueError("members span more than one live component")
-        return total
+    def _pair_distance_sum(self, ids: list[int]) -> int:
+        """Ordered-pair hop total over members, by bit-parallel BFS.
 
-    def _pair_distance_sum_scipy(self, ids: list[int]) -> int:
-        """Same total as the python kernel, batched through scipy.
-
-        Hop counts are small integers, exactly representable in float64,
-        so the two kernels agree bit for bit.
+        Multi-source BFS (Then et al., VLDB 2014): each member is a BFS
+        source with its own bit, 64 sources to a uint64 word, and one
+        level of all their searches is a gather and an OR-reduce over the
+        CSR rows of the members' live component. The searches span the
+        whole component, so shortest paths through live non-members count.
         """
         import numpy as np
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
 
-        live = sorted(self._live_list)
-        pos = {v: i for i, v in enumerate(live)}
         alive = self.alive
-        rows: list[int] = []
-        cols: list[int] = []
-        for v in live:
-            pv = pos[v]
-            for u in self.adjacency[v]:
-                if alive[u]:
-                    rows.append(pv)
-                    cols.append(pos[u])
-        data = np.ones(len(rows), dtype=np.int8)
-        mat = csr_matrix((data, (rows, cols)), shape=(len(live), len(live)))
-        member_pos = np.array([pos[v] for v in ids], dtype=np.int64)
+        adjacency = self.adjacency
+        # local ids: members first, then the live non-members of their component
+        local = [-1] * self.node_count
+        for i, v in enumerate(ids):
+            local[v] = i
+        nodes = list(ids)
+        seen = bytearray(self.node_count)
+        seen[ids[0]] = 1
+        comp = [ids[0]]
+        i = 0
+        while i < len(comp):
+            v = comp[i]
+            i += 1
+            for u in adjacency[v]:
+                if alive[u] and not seen[u]:
+                    seen[u] = 1
+                    comp.append(u)
+                    if local[u] < 0:
+                        local[u] = len(nodes)
+                        nodes.append(u)
+        if len(comp) != len(nodes):
+            raise ValueError("members span more than one live component")
+        indptr = [0]
+        indices: list[int] = []
+        for v in nodes:
+            indices.extend(local[u] for u in adjacency[v] if alive[u])
+            indptr.append(len(indices))
+
+        k = len(ids)
+        indices = np.array(indices, dtype=np.intp)
+        # no row is empty (the component has two or more nodes), as reduceat needs
+        starts = np.array(indptr[:-1], dtype=np.intp)
         total = 0
-        for start in range(0, len(member_pos), _SCIPY_CHUNK):
-            chunk = member_pos[start : start + _SCIPY_CHUNK]
-            dist = dijkstra(mat, directed=True, unweighted=True, indices=chunk)
-            block = dist[:, member_pos]
-            if np.isinf(block).any():
+        for lo in range(0, k, 64 * _CHUNK_WORDS):
+            bit = np.arange(min(k - lo, 64 * _CHUNK_WORDS), dtype=np.uint64)
+            frontier = np.zeros((len(nodes), (len(bit) + 63) // 64), dtype=np.uint64)
+            frontier[lo + bit, bit >> 6] = np.uint64(1) << (bit & 63)
+            unseen = ~frontier
+            gathered = np.empty((len(indices), frontier.shape[1]), dtype=np.uint64)
+            nxt = np.empty_like(frontier)
+            reached = 0
+            level = 0
+            while True:
+                level += 1
+                # "clip" (the indices are in range) spares the copy "raise" makes for out=
+                np.take(frontier, indices, axis=0, out=gathered, mode="clip")
+                np.bitwise_or.reduceat(gathered, starts, axis=0, out=nxt)
+                nxt &= unseen
+                if not nxt.any():
+                    break
+                unseen ^= nxt
+                count = int(np.bitwise_count(nxt[:k]).sum())
+                reached += count
+                total += level * count
+                frontier, nxt = nxt, frontier
+            if reached != len(bit) * (k - 1):
                 raise ValueError("members span more than one live component")
-            total += int(block.sum())
         return total
 
 

@@ -91,10 +91,6 @@ def crash_threshold(trace: "AttackTrace", criterion: CrashCriterion) -> float | 
     return None
 
 
-def curve_points(trace: "AttackTrace") -> list[MetricsRow]:
-    return list(trace.snapshots)
-
-
 def _nearest_row(rows: Sequence[MetricsRow], f: float) -> MetricsRow:
     """Snapshot closest to f; ties go to the lower fraction."""
     best = rows[0]

@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netattack
 import oracles
 from netattack import Graph, build_graph
+from netattack import graph as graph_mod
 
 
 def path_graph(n: int) -> Graph:
@@ -184,20 +189,41 @@ class TestAvgShortestPath:
             want = oracles.floyd_warshall_mean(g.adjacency, g.alive, report.members)
             assert g.avg_shortest_path(report.members) == pytest.approx(want, abs=1e-9)
 
-    def test_python_and_sparse_paths_agree(self):
-        # same cluster pushed through both distance kernels
-        from netattack import graph as graph_mod
+    @pytest.mark.parametrize(
+        "n, chunk_words, min_size",
+        [(90, 4, 65), (160, 4, 129), (160, 1, 129)],
+    )
+    def test_matches_floyd_warshall_across_words_and_chunks(
+        self, monkeypatch, n, chunk_words, min_size
+    ):
+        # 64 sources share a uint64 word; with one word per chunk a
+        # cluster of more than 128 members takes three chunks
+        monkeypatch.setattr(graph_mod, "_CHUNK_WORDS", chunk_words)
+        rng = random.Random(n)
+        g = build_graph(n, oracles.random_connected_edges(rng, n, extra=0.03))
+        for v in rng.sample(range(n), 5):
+            g.crash_node(v)
+        report = g.largest_cluster()
+        assert report.size >= min_size
+        want = oracles.floyd_warshall_mean(g.adjacency, g.alive, report.members)
+        assert g.avg_shortest_path(report.members) == pytest.approx(want, abs=1e-9)
 
-        rng = random.Random(9)
-        n = 80
-        g = build_graph(n, oracles.random_connected_edges(rng, n, extra=0.05))
-        members = g.largest_cluster().members
-        ids = sorted(members)
-        py = g._pair_distance_sum_python(ids)
-        sp = g._pair_distance_sum_scipy(ids)
-        assert py == sp
-        # ordered-pair total over k(k-1) ordered pairs
-        assert g.avg_shortest_path(members) == pytest.approx(
-            py / (len(ids) * (len(ids) - 1))
-        )
-        assert graph_mod._SCIPY_CUTOFF > 2
+    def test_member_subset_paths_run_through_non_members(self):
+        g = path_graph(3)
+        assert g.avg_shortest_path([0, 2]) == 2.0
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        g.crash_node(0)
+        assert g.avg_shortest_path([1, 4]) == 3.0
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy loads on the first path-length call, so start-up skips it
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(netattack.__file__).parents[1])!r}); "
+        "import netattack; "
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
