@@ -22,6 +22,7 @@ walking it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -38,6 +39,29 @@ STOP_NETWORK_CRASHED = "network_crashed"
 STOP_STRATEGY_STALLED = "strategy_stalled"
 STOP_BUDGET_EXHAUSTED = "budget_exhausted"
 STOP_GRAPH_EXHAUSTED = "graph_exhausted"
+
+_REQUIRED = object()
+
+
+def json_field(data: dict, key: str, kind: type, default=_REQUIRED, *, name: str = ""):
+    """``data[key]`` checked against a JSON type, or ``default`` if absent.
+
+    A missing required key or a wrong type raises ValueError naming the
+    field. A bool is never an int, an int is a float, and null passes
+    wherever the default is None.
+    """
+    name = name or key
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{name} is required")
+        return default
+    value = data[key]
+    if value is None and default is None:
+        return None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -133,22 +157,25 @@ class StrategySpec:
             raise ValueError("strategy entry needs a 'kind'")
         protected = ProtectedRule()
         if "protected" in data:
-            p = dict(data["protected"])
+            p = json_field(data, "protected", dict, name="strategy protected")
             p_extra = set(p) - {"kind", "top_frac", "band_frac", "miss_frac"}
             if p_extra:
                 raise ValueError(f"unknown protected keys: {sorted(p_extra)}")
             protected = ProtectedRule(
-                kind=p.get("kind", "none"),
-                top_frac=p.get("top_frac", 0.01),
-                band_frac=p.get("band_frac", 0.03),
-                miss_frac=p.get("miss_frac", 0.0),
+                kind=json_field(p, "kind", str, "none", name="protected kind"),
+                top_frac=json_field(p, "top_frac", float, 0.01, name="protected top_frac"),
+                band_frac=json_field(p, "band_frac", float, 0.03, name="protected band_frac"),
+                miss_frac=json_field(p, "miss_frac", float, 0.0, name="protected miss_frac"),
             )
+        target = data.get("initial_target", "random_live")
+        if not isinstance(target, str):
+            target = json_field(data, "initial_target", int, name="strategy initial_target")
         return cls(
-            kind=data["kind"],
+            kind=json_field(data, "kind", str, name="strategy kind"),
             protected=protected,
-            threshold=data.get("threshold"),
-            initial_target=data.get("initial_target", "random_live"),
-            seed=data.get("seed", 0),
+            threshold=json_field(data, "threshold", int, None, name="strategy threshold"),
+            initial_target=target,
+            seed=json_field(data, "seed", int, 0, name="strategy seed"),
         )
 
     def with_seed(self, seed: int) -> "StrategySpec":
@@ -223,9 +250,30 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
     return frozenset(rng.sample(band, take))
 
 
-def select_intentional(g: Graph, protected: frozenset[int]) -> int | None:
-    """Highest current-degree live node outside the protected set."""
-    return g.max_live_degree_node(protected)
+def _heap_max(g: Graph, heap: list[tuple[int, int]]) -> int | None:
+    """Top live entry of a lazy ``(-live_degree, id)`` heap, or None.
+
+    Entries of crashed nodes and entries whose degree has since fallen
+    are dropped on the way; the returned entry stays on the heap.
+    """
+    alive = g.alive
+    degree = g.live_degree
+    while heap:
+        key, v = heap[0]
+        if alive[v] and -key == degree[v]:
+            return v
+        heapq.heappop(heap)
+    return None
+
+
+def select_intentional(g: Graph, heap: list[tuple[int, int]]) -> int | None:
+    """Highest current-degree live node outside the protected set.
+
+    ``heap`` holds every unprotected node, pushed again whenever its
+    degree falls, so its top live entry is the target; ties go to the
+    smallest id.
+    """
+    return _heap_max(g, heap)
 
 
 def select_random_failure(g: Graph, rng: random.Random) -> int | None:
@@ -249,36 +297,34 @@ def select_greedy_sequential(
     return g.random_live_node(rng)
 
 
-def select_coordinated(g: Graph, frontier: set[int], rng: random.Random) -> int | None:
+def select_coordinated(g: Graph, heap: list[tuple[int, int]], rng: random.Random) -> int | None:
     """Best live node on the crashed set's boundary, else a random restart.
 
-    The caller maintains ``frontier`` as the set of live nodes adjacent
-    to at least one crashed node; max-degree (smallest id on ties) is
-    taken with an explicit total order, so set iteration order never
-    leaks into the result.
+    ``heap`` holds a node from the moment it first neighbors a crashed
+    node, pushed again whenever its degree falls, so its live entries are
+    exactly the frontier; max-degree with smallest id on ties is the heap
+    order itself.
     """
-    best = None
-    best_degree = -1
-    for v in frontier:
-        d = g.live_degree[v]
-        if d > best_degree or (d == best_degree and v < best):
-            best, best_degree = v, d
-    if best is not None:
-        return best
-    return g.random_live_node(rng)
+    v = _heap_max(g, heap)
+    return v if v is not None else g.random_live_node(rng)
 
 
-def step_lower_bounded(g: Graph, frontier: set[int], threshold: int) -> list[int]:
+def step_lower_bounded(g: Graph, last_batch: list[int], threshold: int) -> list[int]:
     """Frontier nodes to crash simultaneously this step, ascending ids.
 
     A node qualifies only if its degree on the attacker's topology map,
     the degree it had when the network was built, is strictly above the
     bound. A local-information attacker has no way to watch a remote
     node's links decay, and qualifying against decayed live degrees
-    would quench the avalanche as soon as it reaches the hubs. An empty
-    result means the attack stalls for good.
+    would quench the avalanche as soon as it reaches the hubs. Every
+    qualifier falls in the step after it joins the frontier, so only the
+    live neighbors of the last batch can qualify. An empty result means
+    the attack stalls for good.
     """
-    return sorted(v for v in frontier if len(g.adjacency[v]) > threshold)
+    alive = g.alive
+    adjacency = g.adjacency
+    joined = {u for v in last_batch for u in adjacency[v] if alive[u]}
+    return sorted(u for u in joined if len(adjacency[u]) > threshold)
 
 
 def _resolve_initial(g: Graph, spec: StrategySpec, rng: random.Random) -> int | None:
@@ -287,7 +333,8 @@ def _resolve_initial(g: Graph, spec: StrategySpec, rng: random.Random) -> int | 
             raise ValueError(f"initial_target {spec.initial_target} is not a live node")
         return spec.initial_target
     if spec.initial_target == "max_degree":
-        return g.max_live_degree_node()
+        degree = g.live_degree
+        return max(range(g.node_count), key=lambda v: (degree[v], -v))
     return g.random_live_node(rng)
 
 
@@ -339,34 +386,32 @@ def run_attack(
     step = 0
     next_s = cadence.s_every
     next_d = cadence.d_every
-    anchor: int | None = None
-    frontier: set[int] = set()
-    distributed = spec.kind in DISTRIBUTED_KINDS
+    # lazy max-heap of (-live_degree, id) for the two degree-driven kinds:
+    # intentional starts from every unprotected node, coordinated from none
+    heap: list[tuple[int, int]] = []
+    if spec.kind == "intentional":
+        heap = [(-d, v) for v, d in enumerate(g.live_degree) if v not in protected]
+        heapq.heapify(heap)
+    uses_heap = spec.kind in ("intentional", "coordinated")
+    batch: list[int] = []  # the batch crashed last, until the next pick
 
     def pick_batch() -> list[int]:
         if spec.kind == "intentional":
-            v = select_intentional(g, protected)
+            v = select_intentional(g, heap)
         elif spec.kind == "random_failure":
             v = select_random_failure(g, rng)
+        elif removed == 0:
+            v = _resolve_initial(g, spec, rng)
         elif spec.kind == "greedy_sequential":
-            v = (
-                _resolve_initial(g, spec, rng)
-                if anchor is None
-                else select_greedy_sequential(g, anchor, rng)
-            )
+            v = select_greedy_sequential(g, batch[-1], rng)
         elif spec.kind == "coordinated":
-            v = (
-                _resolve_initial(g, spec, rng)
-                if removed == 0
-                else select_coordinated(g, frontier, rng)
-            )
+            v = select_coordinated(g, heap, rng)
         else:  # lower_bounded_parallel
-            if removed == 0:
-                v = _resolve_initial(g, spec, rng)
-            else:
-                return step_lower_bounded(g, frontier, spec.threshold)
+            return step_lower_bounded(g, batch, spec.threshold)
         return [] if v is None else [v]
 
+    alive = g.alive
+    degree = g.live_degree
     while True:
         batch = pick_batch()
         if not batch:
@@ -379,14 +424,13 @@ def run_attack(
             g.crash_node(v)
         removed += len(batch)
         trace.removals.append((step, tuple(batch)))
-        if distributed:
-            for v in batch:
-                frontier.discard(v)
+        if uses_heap:
+            # a degree falls only when a neighbor crashes, which is also
+            # when a node joins the frontier: one push keeps both heaps right
             for v in batch:
                 for u in g.adjacency[v]:
-                    if g.alive[u]:
-                        frontier.add(u)
-            anchor = batch[-1]
+                    if alive[u] and u not in protected:
+                        heapq.heappush(heap, (-degree[u], u))
 
         due_s = removed >= next_s
         due_d = next_d is not None and removed >= next_d

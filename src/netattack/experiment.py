@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._version import __version__
-from .attacks import AttackTrace, SnapshotCadence, StrategySpec, run_attack
+from .attacks import AttackTrace, SnapshotCadence, StrategySpec, json_field, run_attack
 from .generators import BaParams, generate_ba, load_edge_list
 from .graph import Graph
 from .metrics import (
@@ -101,20 +101,22 @@ class ExperimentConfig:
         try:
             network = cls._parse_network(data.get("network"), base_dir)
             strategies = tuple(
-                StrategySpec.from_json(s) for s in data.get("strategies", [])
+                StrategySpec.from_json(s) for s in json_field(data, "strategies", list, [])
             )
-            cadence = cls._parse_cadence(data.get("snapshot_cadence"))
+            cadence = cls._parse_cadence(
+                json_field(data, "snapshot_cadence", dict, None)
+            )
             return cls(
                 network=network,
                 strategies=strategies,
-                trials=data.get("trials", 1),
-                base_seed=data.get("base_seed", 0),
-                crash_epsilon=data.get("crash_epsilon", 0.01),
-                budget=data.get("budget", 1.0),
+                trials=json_field(data, "trials", int, 1),
+                base_seed=json_field(data, "base_seed", int, 0),
+                crash_epsilon=json_field(data, "crash_epsilon", float, 0.01),
+                budget=json_field(data, "budget", float, 1.0),
                 cadence=cadence,
-                output_dir=data.get("output_dir"),
-                early_stop=bool(data.get("early_stop", False)),
-                plots=bool(data.get("plots", False)),
+                output_dir=json_field(data, "output_dir", str, None),
+                early_stop=json_field(data, "early_stop", bool, False),
+                plots=json_field(data, "plots", bool, False),
             )
         except ConfigError:
             raise
@@ -126,14 +128,17 @@ class ExperimentConfig:
         if not isinstance(data, dict) or len(data) != 1:
             raise ConfigError("network must be exactly one of {'ba': ...} or {'edge_list': ...}")
         if "ba" in data:
-            ba = data["ba"]
+            ba = json_field(data, "ba", dict, name="network.ba")
             extra = set(ba) - {"n", "m"}
             if extra:
                 raise ConfigError(f"unknown ba keys: {sorted(extra)}")
-            params = BaParams(n=ba["n"], m=ba["m"])  # validates n > m >= 1
+            params = BaParams(  # validates n > m >= 1
+                n=json_field(ba, "n", int, name="network.ba.n"),
+                m=json_field(ba, "m", int, name="network.ba.m"),
+            )
             return ("ba", params.n, params.m)
         if "edge_list" in data:
-            path = Path(data["edge_list"])
+            path = Path(json_field(data, "edge_list", str, name="network.edge_list"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return ("edge_list", str(path))
@@ -146,14 +151,10 @@ class ExperimentConfig:
         extra = set(data) - {"s_every", "d_every"}
         if extra:
             raise ConfigError(f"unknown snapshot_cadence keys: {sorted(extra)}")
-        s = data.get("s_every")
-        d_enabled = True
-        d = None
-        if "d_every" in data:
-            if data["d_every"] is None:
-                d_enabled = False
-            else:
-                d = data["d_every"]
+        s = json_field(data, "s_every", int, None, name="snapshot_cadence.s_every")
+        d = json_field(data, "d_every", int, None, name="snapshot_cadence.d_every")
+        # an explicit null turns d off; an absent key means the default cadence
+        d_enabled = d is not None or "d_every" not in data
         if s is not None and s < 1:
             raise ConfigError(f"s_every must be >= 1, got {s}")
         if d is not None and d < 1:

@@ -3,9 +3,9 @@
 The attack simulations never delete edges from the adjacency structure.
 A node is removed by flipping its live flag; the adjacency built at
 construction time stays immutable so that traces can be replayed and
-graphs can be copied cheaply. Live degrees are maintained incrementally
-and indexed in degree buckets, which keeps the max-live-degree query
-O(1) amortized while an attack removes thousands of nodes one by one.
+graphs can be copied cheaply. Live degrees are maintained incrementally,
+so a crash costs O(degree) and a live-degree read O(1); choosing the
+highest-degree target is left to the attack loop.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ class Graph:
         "live_count",
         "dropped_duplicates",
         "dropped_self_loops",
-        "_buckets",
-        "_max_degree",
         "_live_list",
         "_live_pos",
     )
@@ -66,12 +64,6 @@ class Graph:
         self.live_count = n
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
-        max_degree = max(self.live_degree, default=0)
-        buckets: list[set[int]] = [set() for _ in range(max_degree + 1)]
-        for v, d in enumerate(self.live_degree):
-            buckets[d].add(v)
-        self._buckets = buckets
-        self._max_degree = max_degree
         self._live_list = list(range(n))
         self._live_pos = list(range(n))
 
@@ -87,8 +79,6 @@ class Graph:
         g.live_count = self.live_count
         g.dropped_duplicates = self.dropped_duplicates
         g.dropped_self_loops = self.dropped_self_loops
-        g._buckets = [set(b) for b in self._buckets]
-        g._max_degree = self._max_degree
         g._live_list = list(self._live_list)
         g._live_pos = list(self._live_pos)
         return g
@@ -109,10 +99,6 @@ class Graph:
         alive = self.alive
         return {u for u in self.adjacency[v] if alive[u]}
 
-    def degree_index(self) -> dict[int, set[int]]:
-        """Live nodes bucketed by live degree (diagnostics, tests)."""
-        return {d: set(b) for d, b in enumerate(self._buckets) if b}
-
     def random_live_node(self, rng) -> int | None:
         """Uniform draw over live nodes, None if all crashed."""
         if not self._live_list:
@@ -131,7 +117,6 @@ class Graph:
         if not self.alive[v]:
             raise ValueError(f"node {v} already crashed")
         self.alive[v] = False
-        self._buckets[self.live_degree[v]].discard(v)
         self.live_degree[v] = 0
         pos = self._live_pos[v]
         last = self._live_list[-1]
@@ -142,42 +127,9 @@ class Graph:
         self.live_count -= 1
         alive = self.alive
         degree = self.live_degree
-        buckets = self._buckets
         for u in self.adjacency[v]:
             if alive[u]:
-                d = degree[u]
-                buckets[d].discard(u)
-                buckets[d - 1].add(u)
-                degree[u] = d - 1
-
-    # -- degree queries ---------------------------------------------------------
-
-    def max_live_degree_node(self, excluded: Iterable[int] = ()) -> int | None:
-        """Live node of maximum live degree, skipping ``excluded``.
-
-        Ties break to the smallest node id. Returns None when no live
-        node is eligible.
-        """
-        buckets = self._buckets
-        d = self._max_degree
-        while d >= 0 and not buckets[d]:
-            d -= 1
-        self._max_degree = d if d >= 0 else 0
-        if d < 0:
-            return None
-        if not excluded:
-            return min(buckets[d])
-        if not isinstance(excluded, (set, frozenset)):
-            excluded = set(excluded)
-        while d >= 0:
-            best = None
-            for v in buckets[d]:
-                if v not in excluded and (best is None or v < best):
-                    best = v
-            if best is not None:
-                return best
-            d -= 1
-        return None
+                degree[u] -= 1
 
     # -- connectivity ----------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -25,6 +26,13 @@ from netattack.attacks import (
     select_intentional,
     step_lower_bounded,
 )
+
+
+def degree_heap(g, nodes):
+    """Lazy selection heap over ``nodes``, as run_attack seeds it."""
+    heap = [(-g.live_degree[v], v) for v in nodes]
+    heapq.heapify(heap)
+    return heap
 
 
 def star_plus_tail(spokes: int = 5, tail: int = 3):
@@ -175,8 +183,36 @@ class TestSnapshotCadence:
 class TestSelectors:
     def test_intentional_skips_protected(self):
         g = star_plus_tail()
-        assert select_intentional(g, frozenset()) == 0
-        assert select_intentional(g, frozenset({0})) == 1
+        assert select_intentional(g, degree_heap(g, range(g.node_count))) == 0
+        assert select_intentional(g, degree_heap(g, range(1, g.node_count))) == 1
+
+    def test_intentional_tie_breaks_to_smallest_id(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        assert select_intentional(g, degree_heap(g, range(4))) == 0
+        assert select_intentional(g, degree_heap(g, (1, 2, 3))) == 1
+        assert select_intentional(g, degree_heap(g, (3, 2))) == 2
+
+    def test_intentional_drops_stale_entries(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        heap = degree_heap(g, range(5))
+        g.crash_node(1)
+        # 1 is dead and 0 and 2 lost a link; only 3's entry is still exact
+        assert select_intentional(g, heap) == 3
+        assert heap[0] == (-1, 3)
+        # the push run_attack makes after a crash restores 2's entry
+        for u in (0, 2, 4):
+            heapq.heappush(heap, (-g.live_degree[u], u))
+        assert select_intentional(g, heap) == 2
+
+    def test_intentional_none_when_everything_protected_or_dead(self):
+        g = build_graph(2, [(0, 1)])
+        assert select_intentional(g, []) is None
+        heap = degree_heap(g, range(2))
+        g.crash_node(0)
+        g.crash_node(1)
+        assert select_intentional(g, heap) is None
+        assert heap == []
+        assert g.random_live_node(random.Random(0)) is None
 
     def test_greedy_prefers_anchor_neighborhood(self):
         g = star_plus_tail(spokes=3, tail=2)
@@ -194,9 +230,14 @@ class TestSelectors:
     def test_coordinated_scans_frontier_with_total_order(self):
         g = build_graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
         g.crash_node(0)
-        frontier = {1, 2}
-        assert select_coordinated(g, frontier, random.Random(0)) == 2
-        assert select_coordinated(g, set(), random.Random(0)) in g.live_nodes()
+        heap = degree_heap(g, (1, 2))  # the frontier once 0 has crashed
+        assert select_coordinated(g, heap, random.Random(0)) == 2
+        g.crash_node(2)
+        for u in (3, 4):
+            heapq.heappush(heap, (-g.live_degree[u], u))
+        # 1, 3 and 4 all have degree 0 now: the smallest id wins
+        assert select_coordinated(g, heap, random.Random(0)) == 1
+        assert select_coordinated(g, [], random.Random(0)) in g.live_nodes()
 
     def test_lower_bounded_uses_construction_degrees(self):
         g = star_plus_tail(spokes=5, tail=1)
@@ -205,12 +246,15 @@ class TestSelectors:
             g.crash_node(v)
         assert g.live_degree[0] == 1
         assert len(g.adjacency[0]) == 5
-        assert step_lower_bounded(g, {0, 1}, threshold=3) == [0]
-        assert step_lower_bounded(g, {0, 1}, threshold=5) == []
+        assert step_lower_bounded(g, [2, 3, 4, 5], threshold=3) == [0]
+        assert step_lower_bounded(g, [2, 3, 4, 5], threshold=5) == []
 
     def test_lower_bounded_sorts_batch(self):
         g = build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-        assert step_lower_bounded(g, {4, 2, 0}, threshold=1) == [0, 2, 4]
+        g.crash_node(5)
+        g.crash_node(4)
+        # both crashed nodes see 0..3: each appears once, in id order
+        assert step_lower_bounded(g, [5, 4], threshold=1) == [0, 1, 2, 3]
 
 
 class TestRunAttack:
@@ -332,10 +376,61 @@ class TestRunAttack:
 
     def test_max_degree_initial_target(self):
         g = generate_ba(BaParams(80, 2, seed=8))
-        hub = g.max_live_degree_node()
+        hub = oracles.max_live_degree(g.adjacency, g.alive)
         spec = StrategySpec("coordinated", initial_target="max_degree")
         trace = run_attack(g, spec, budget=0.05)
         assert trace.removals[0][1] == (hub,)
+
+    def test_fuzz_degree_selection_against_oracles(self):
+        """Replay each trace and recheck every pick from scratch."""
+        rng = random.Random(13)
+        band = ProtectedRule("miss_medium_band", top_frac=0.05, band_frac=0.3, miss_frac=0.5)
+        specs = [
+            StrategySpec("intentional"),
+            StrategySpec("intentional", protected=ProtectedRule("miss_biggest_hub")),
+            StrategySpec("intentional", protected=band),
+            StrategySpec("coordinated"),
+            StrategySpec("lower_bounded_parallel", threshold=2),
+        ]
+        for trial in range(60):
+            n = rng.randrange(5, 60)
+            g = build_graph(n, oracles.random_edges(rng, n, rng.choice([0.04, 0.15])))
+            spec = specs[trial % len(specs)].with_seed(trial)
+            protected = build_protected_set(g, spec.protected, random.Random(spec.seed))
+            trace = run_attack(g, spec, cadence=SnapshotCadence(s_every=n))
+            adjacency = g.adjacency
+            alive = [True] * n
+
+            def frontier():
+                return {
+                    u for v in range(n) if not alive[v] for u in adjacency[v] if alive[u]
+                }
+
+            def qualifiers():
+                return sorted(v for v in frontier() if len(adjacency[v]) > 2)
+
+            for i, (_, batch) in enumerate(trace.removals):
+                if spec.kind == "intentional":
+                    want = oracles.max_live_degree(adjacency, alive, protected)
+                    assert batch == (want,)
+                elif spec.kind == "coordinated":
+                    edge = frontier()
+                    if edge:
+                        outside = set(range(n)) - edge
+                        assert batch == (oracles.max_live_degree(adjacency, alive, outside),)
+                    else:
+                        assert len(batch) == 1 and alive[batch[0]]
+                elif i > 0:
+                    # every qualifying frontier node, not just some of them
+                    assert list(batch) == qualifiers()
+                for v in batch:
+                    alive[v] = False
+            if trace.stop_reason == STOP_STRATEGY_STALLED:
+                if spec.kind == "intentional":
+                    assert oracles.max_live_degree(adjacency, alive, protected) is None
+                else:
+                    assert spec.kind == "lower_bounded_parallel"
+                    assert qualifiers() == []
 
     def test_fuzz_engine_invariants(self):
         rng = random.Random(11)

@@ -181,6 +181,38 @@ class TestErrorPaths:
         rc = main(["sweep", "--config", cfg, "--threads", "0"])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"network": {"ba": {"n": 50}}}, "network.ba.m"),
+            ({"network": {"ba": {"n": "50", "m": 2}}}, "network.ba.n"),
+            ({"trials": "3"}, "trials"),
+            ({"budget": "0.5"}, "budget"),
+            ({"early_stop": "false"}, "early_stop"),
+            ({"snapshot_cadence": {"s_every": "5"}}, "snapshot_cadence.s_every"),
+            ({"strategies": [{"kind": "lower_bounded_parallel", "threshold": "4"}]},
+             "strategy threshold"),
+            ({"strategies": [{"kind": "intentional", "seed": "1"}]}, "strategy seed"),
+            (
+                {"strategies": [{"kind": "intentional",
+                                 "protected": {"kind": "miss_medium_band", "miss_frac": "x"}}]},
+                "protected miss_frac",
+            ),
+        ],
+    )
+    def test_malformed_config_exit_1_names_field(self, tmp_path, capsys, change, field):
+        data = {
+            "network": {"ba": {"n": 50, "m": 2}},
+            "strategies": [{"kind": "intentional"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        data.update(change)
+        cfg = write_config(tmp_path / "cfg.json", **data)
+        rc = main(["sweep", "--config", cfg])
+        assert rc == 1
+        assert f"error: {field} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unexpected_failures_exit_2(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path), "--out", str(tmp_path / "x.svg")])
         assert rc == 2

@@ -85,36 +85,6 @@ class TestDegreeTracking:
             for v in range(n):
                 want = oracles.live_degree(g.adjacency, g.alive, v) if g.alive[v] else 0
                 assert g.live_degree[v] == want
-            index = g.degree_index()
-            for d, bucket in index.items():
-                for v in bucket:
-                    assert g.live_degree[v] == d
-
-    def test_max_live_degree_node_matches_scan(self):
-        rng = random.Random(6)
-        for trial in range(60):
-            n = rng.randrange(1, 12)
-            g = build_graph(n, oracles.random_edges(rng, n, 0.35))
-            for v in rng.sample(range(n), rng.randrange(n)):
-                g.crash_node(v)
-            excluded = set(rng.sample(range(n), rng.randrange(n + 1)))
-            got = g.max_live_degree_node(excluded)
-            want = oracles.max_live_degree(g.adjacency, g.alive, excluded)
-            assert got == want
-
-    def test_tie_breaks_to_smallest_id(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        assert g.max_live_degree_node() == 0
-        assert g.max_live_degree_node({0}) == 1
-        assert g.max_live_degree_node({0, 1}) == 2
-
-    def test_none_when_everything_excluded_or_dead(self):
-        g = path_graph(2)
-        assert g.max_live_degree_node({0, 1}) is None
-        g.crash_node(0)
-        g.crash_node(1)
-        assert g.max_live_degree_node() is None
-        assert g.random_live_node(random.Random(0)) is None
 
 
 class TestClusters:
