@@ -7,7 +7,7 @@ where the network falls apart.
 """
 
 from ._version import __version__
-from .graph import ClusterReport, Graph, build_graph
+from .graph import Graph, build_graph
 from .generators import (
     BaParams,
     degree_histogram,
@@ -29,6 +29,7 @@ from .metrics import (
     MetricsRow,
     crash_threshold,
     curve_export,
+    giant_sizes,
     snapshot,
     write_curve_csv,
 )
@@ -45,7 +46,6 @@ from .experiment import (
 __all__ = [
     "__version__",
     "Graph",
-    "ClusterReport",
     "build_graph",
     "BaParams",
     "generate_ba",
@@ -61,6 +61,7 @@ __all__ = [
     "CrashCriterion",
     "MetricsRow",
     "CurvePoint",
+    "giant_sizes",
     "snapshot",
     "crash_threshold",
     "curve_export",

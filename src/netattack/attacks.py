@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .graph import Graph
-from .metrics import CrashCriterion, MetricsRow, snapshot
+from .metrics import CrashCriterion, MetricsRow, measure
 
 DISTRIBUTED_KINDS = ("greedy_sequential", "coordinated", "lower_bounded_parallel")
 STRATEGY_KINDS = ("intentional", "random_failure") + DISTRIBUTED_KINDS
@@ -146,37 +146,40 @@ class StrategySpec:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "StrategySpec":
+    def from_json(cls, data: dict, where: str = "strategy") -> "StrategySpec":
+        """Parse one strategy entry; every error names it by ``where``."""
         if not isinstance(data, dict):
-            raise ValueError(f"strategy entry must be an object, got {type(data).__name__}")
+            raise ValueError(f"{where} must be an object, got {type(data).__name__}")
         known = {"kind", "seed", "protected", "threshold", "initial_target"}
         extra = set(data) - known
         if extra:
-            raise ValueError(f"unknown strategy keys: {sorted(extra)}")
+            raise ValueError(f"{where}: unknown strategy keys: {sorted(extra)}")
         if "kind" not in data:
-            raise ValueError("strategy entry needs a 'kind'")
-        protected = ProtectedRule()
-        if "protected" in data:
-            p = json_field(data, "protected", dict, name="strategy protected")
-            p_extra = set(p) - {"kind", "top_frac", "band_frac", "miss_frac"}
-            if p_extra:
-                raise ValueError(f"unknown protected keys: {sorted(p_extra)}")
-            protected = ProtectedRule(
-                kind=json_field(p, "kind", str, "none", name="protected kind"),
-                top_frac=json_field(p, "top_frac", float, 0.01, name="protected top_frac"),
-                band_frac=json_field(p, "band_frac", float, 0.03, name="protected band_frac"),
-                miss_frac=json_field(p, "miss_frac", float, 0.0, name="protected miss_frac"),
-            )
+            raise ValueError(f"{where} needs a 'kind'")
+        p = json_field(data, "protected", dict, {}, name=f"{where}.protected")
+        p_extra = set(p) - {"kind", "top_frac", "band_frac", "miss_frac"}
+        if p_extra:
+            raise ValueError(f"{where}: unknown protected keys: {sorted(p_extra)}")
         target = data.get("initial_target", "random_live")
         if not isinstance(target, str):
-            target = json_field(data, "initial_target", int, name="strategy initial_target")
-        return cls(
-            kind=json_field(data, "kind", str, name="strategy kind"),
-            protected=protected,
-            threshold=json_field(data, "threshold", int, None, name="strategy threshold"),
+            target = json_field(data, "initial_target", int, name=f"{where}.initial_target")
+        fields = dict(
+            kind=json_field(data, "kind", str, name=f"{where}.kind"),
+            threshold=json_field(data, "threshold", int, None, name=f"{where}.threshold"),
             initial_target=target,
-            seed=json_field(data, "seed", int, 0, name="strategy seed"),
+            seed=json_field(data, "seed", int, 0, name=f"{where}.seed"),
         )
+        at = f"{where}.protected."
+        protected = dict(
+            kind=json_field(p, "kind", str, "none", name=at + "kind"),
+            top_frac=json_field(p, "top_frac", float, 0.01, name=at + "top_frac"),
+            band_frac=json_field(p, "band_frac", float, 0.03, name=at + "band_frac"),
+            miss_frac=json_field(p, "miss_frac", float, 0.0, name=at + "miss_frac"),
+        )
+        try:
+            return cls(protected=ProtectedRule(**protected), **fields)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
     def with_seed(self, seed: int) -> "StrategySpec":
         return replace(self, seed=seed)
@@ -184,10 +187,12 @@ class StrategySpec:
 
 @dataclass(frozen=True)
 class SnapshotCadence:
-    """How often the run measures S and (optionally) d.
+    """Where a run's curve is sampled: S every s_every removals, d every d_every.
 
-    d_every=None disables the path-length observable, the most expensive
-    one: each evaluation runs a BFS from every cluster member.
+    S is known after every step at no extra cost, so s_every only sets
+    the resolution. d_every=None disables the path-length observable,
+    the expensive one: each evaluation runs a BFS from every cluster
+    member.
     """
 
     s_every: int
@@ -208,13 +213,18 @@ class SnapshotCadence:
 
 @dataclass
 class AttackTrace:
-    """Complete record of one attack run: what fell when, and the curve."""
+    """Complete record of one attack run: what fell when, and the curve.
+
+    ``exact_crash_threshold`` is the removal fraction at the first step
+    whose S meets the run's crash criterion, or None.
+    """
 
     total_nodes: int
     strategy_key: str
     removals: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
     snapshots: list[MetricsRow] = field(default_factory=list)
     stop_reason: str = ""
+    exact_crash_threshold: float | None = None
 
     @property
     def removed_count(self) -> int:
@@ -347,13 +357,15 @@ def run_attack(
     early_stop: bool = False,
     criterion: CrashCriterion | None = None,
 ) -> AttackTrace:
-    """Drive one attack to its stopping point.
+    """Drive one attack to its stopping point, then measure it.
 
-    The graph is consumed: after the call it is in the post-attack
-    state. Snapshots are taken at step 0, whenever the removal count
-    crosses a cadence mark, and at the final state. The crash check
-    (and early stop, when enabled) happens only at snapshots, so the
-    cadence bounds how precisely the crash point is located.
+    The attack runs on a private copy, so ``g`` stays fresh. The removal
+    loop records only what fell when; S and d are then read off the
+    finished removal order (:func:`metrics.measure`). Rows are taken at
+    step 0, whenever the removal count crosses a cadence mark, and at the
+    final state. Early stop cuts the order at the first row (the final
+    one aside) that meets the crash criterion, so the cadence bounds how
+    precisely the crash point is located.
 
     Stop reasons: network_crashed (early stop hit the crash criterion),
     strategy_stalled (no eligible target but live nodes remain),
@@ -366,26 +378,34 @@ def run_attack(
         raise ValueError("graph has no live nodes")
     if g.live_count != g.node_count:
         raise ValueError("run_attack needs a fresh graph (no crashed nodes)")
-    n = g.node_count
     if cadence is None:
-        cadence = SnapshotCadence.default_for(n)
+        cadence = SnapshotCadence.default_for(g.node_count)
     if criterion is None:
         criterion = CrashCriterion()
+    removals, stop_reason = _removal_order(g.copy(), spec, budget)
+    rows, kept, exact = measure(g, removals, cadence, criterion, early_stop)
+    if kept is not None:
+        removals, stop_reason = removals[:kept], STOP_NETWORK_CRASHED
+    return AttackTrace(
+        total_nodes=g.node_count,
+        strategy_key=spec.label,
+        removals=removals,
+        snapshots=rows,
+        stop_reason=stop_reason,
+        exact_crash_threshold=exact,
+    )
+
+
+def _removal_order(
+    g: Graph, spec: StrategySpec, budget: float
+) -> tuple[list[tuple[int, tuple[int, ...]]], str]:
+    """Crash ``g`` batch by batch until the attack stops: (removals, stop reason)."""
+    n = g.node_count
     rng = random.Random(spec.seed)
     protected = build_protected_set(g, spec.protected, rng)
 
-    trace = AttackTrace(total_nodes=n, strategy_key=spec.label)
-    with_d = cadence.d_every is not None
-    first = snapshot(g, step=0, removed_count=0, with_diameter=with_d)
-    trace.snapshots.append(first)
-    if early_stop and criterion.crashed(first.giant_fraction):
-        trace.stop_reason = STOP_NETWORK_CRASHED
-        return trace
-
+    removals: list[tuple[int, tuple[int, ...]]] = []
     removed = 0
-    step = 0
-    next_s = cadence.s_every
-    next_d = cadence.d_every
     # lazy max-heap of (-live_degree, id) for the two degree-driven kinds:
     # intentional starts from every unprotected node, coordinated from none
     heap: list[tuple[int, int]] = []
@@ -415,15 +435,12 @@ def run_attack(
     while True:
         batch = pick_batch()
         if not batch:
-            trace.stop_reason = (
-                STOP_STRATEGY_STALLED if g.live_count > 0 else STOP_GRAPH_EXHAUSTED
-            )
-            break
-        step += 1
+            stop = STOP_STRATEGY_STALLED if g.live_count > 0 else STOP_GRAPH_EXHAUSTED
+            return removals, stop
         for v in batch:
             g.crash_node(v)
         removed += len(batch)
-        trace.removals.append((step, tuple(batch)))
+        removals.append((len(removals) + 1, tuple(batch)))
         if uses_heap:
             # a degree falls only when a neighbor crashes, which is also
             # when a node joins the frontier: one push keeps both heaps right
@@ -431,28 +448,7 @@ def run_attack(
                 for u in g.adjacency[v]:
                     if alive[u] and u not in protected:
                         heapq.heappush(heap, (-degree[u], u))
-
-        due_s = removed >= next_s
-        due_d = next_d is not None and removed >= next_d
-        if due_s or due_d:
-            row = snapshot(g, step=step, removed_count=removed, with_diameter=due_d)
-            trace.snapshots.append(row)
-            if due_s:
-                next_s = cadence.s_every * (removed // cadence.s_every + 1)
-            if due_d:
-                next_d = cadence.d_every * (removed // cadence.d_every + 1)
-            if early_stop and criterion.crashed(row.giant_fraction):
-                trace.stop_reason = STOP_NETWORK_CRASHED
-                break
         if g.live_count == 0:
-            trace.stop_reason = STOP_GRAPH_EXHAUSTED
-            break
+            return removals, STOP_GRAPH_EXHAUSTED
         if removed / n >= budget:
-            trace.stop_reason = STOP_BUDGET_EXHAUSTED
-            break
-
-    if trace.snapshots[-1].removed_count != removed:
-        trace.snapshots.append(
-            snapshot(g, step=step, removed_count=removed, with_diameter=with_d)
-        )
-    return trace
+            return removals, STOP_BUDGET_EXHAUSTED

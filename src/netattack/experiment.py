@@ -101,7 +101,8 @@ class ExperimentConfig:
         try:
             network = cls._parse_network(data.get("network"), base_dir)
             strategies = tuple(
-                StrategySpec.from_json(s) for s in json_field(data, "strategies", list, [])
+                StrategySpec.from_json(s, f"strategies[{i}]")
+                for i, s in enumerate(json_field(data, "strategies", list, []))
             )
             cadence = cls._parse_cadence(
                 json_field(data, "snapshot_cadence", dict, None)
@@ -301,6 +302,7 @@ def run_experiment(
                         "removed": trace.removed_count,
                         "final_S": trace.final.giant_fraction,
                         "crash_threshold": values[ti],
+                        "exact_crash_threshold": trace.exact_crash_threshold,
                         "wall_time_s": round(wall, 3),
                     }
                 )

@@ -11,7 +11,6 @@ highest-degree target is left to the attack loop.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
@@ -19,15 +18,6 @@ log = logging.getLogger(__name__)
 # BFS sources per chunk of the distance kernel, in 64-bit words; its
 # arrays grow linearly with this and the live edge count
 _CHUNK_WORDS = 4
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Largest connected set of live nodes."""
-
-    size: int
-    members: frozenset[int]
-    fraction: float
 
 
 class Graph:
@@ -133,22 +123,21 @@ class Graph:
 
     # -- connectivity ----------------------------------------------------------
 
-    def _component_scan(self) -> tuple[list[int], int]:
-        """One sweep over live nodes: (largest component, component count).
+    def largest_cluster(self) -> list[int]:
+        """Members of the biggest connected cluster of live nodes.
 
-        Scanning seeds in ascending id order and replacing the best only
-        on strictly larger size makes the size tie break to the component
-        containing the smallest id.
+        One sweep over the live nodes. Scanning seeds in ascending id
+        order and replacing the best only on strictly larger size makes
+        the size tie break to the cluster containing the smallest id.
+        Empty when no node is live.
         """
         alive = self.alive
         adjacency = self.adjacency
         seen = bytearray(self.node_count)
         best: list[int] = []
-        count = 0
         for s in range(self.node_count):
             if not alive[s] or seen[s]:
                 continue
-            count += 1
             comp = [s]
             seen[s] = 1
             i = 0
@@ -161,20 +150,7 @@ class Graph:
                         comp.append(u)
             if len(comp) > len(best):
                 best = comp
-        return best, count
-
-    def largest_cluster(self) -> ClusterReport:
-        """Biggest connected cluster of live nodes.
-
-        ``fraction`` is relative to the original node count, so it keeps
-        falling as nodes crash; with no live nodes it is 0.0.
-        """
-        best, _ = self._component_scan()
-        fraction = len(best) / self.node_count if self.node_count else 0.0
-        return ClusterReport(size=len(best), members=frozenset(best), fraction=fraction)
-
-    def component_count(self) -> int:
-        return self._component_scan()[1]
+        return best
 
     # -- distances ----------------------------------------------------------------
 

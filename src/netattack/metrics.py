@@ -5,18 +5,25 @@ so far, S the giant-cluster fraction (biggest live cluster size over the
 original node count), d the cluster "diameter" in the loose sense used
 here, i.e. the average shortest path length inside the biggest cluster
 (not the max eccentricity).
+
+Every observable is a function of the removal order alone, so an attack
+first runs to its end and :func:`measure` then reads S off one reverse
+union-find pass (:func:`giant_sizes`) and d off a replay of the order.
 """
 
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .graph import Graph
 
 if TYPE_CHECKING:
-    from .attacks import AttackTrace
+    from .attacks import AttackTrace, SnapshotCadence
+
+Removals = Sequence[tuple[int, Sequence[int]]]
 
 
 @dataclass(frozen=True)
@@ -42,30 +49,134 @@ class MetricsRow:
     fraction_removed: float
     giant_fraction: float
     cluster_diameter: float | None
-    component_count: int
 
 
-def snapshot(g: Graph, step: int, removed_count: int, with_diameter: bool) -> MetricsRow:
-    """Measure the current graph state.
+def giant_sizes(adjacency: Sequence[Sequence[int]], removals: Removals) -> list[int]:
+    """Largest live cluster size after each step of a removal order.
 
-    cluster_diameter is only computed when asked for (it is by far the
-    expensive observable) and is None whenever the biggest cluster has
-    fewer than two nodes.
+    ``removals`` holds ``(step, batch)`` pairs as in an attack trace;
+    entry ``i`` of the result is the size once the first ``i`` batches
+    are gone, so entry 0 is the intact graph. One reverse pass (Newman &
+    Ziff, PRL 85, 4104, 2000): a union-find, by size with path halving,
+    is seeded with the nodes no batch removes, then the batches are added
+    back last to first, and the running maximum before each batch is the
+    size after it. A node removed twice raises ValueError.
     """
-    best, components = g._component_scan()
+    n = len(adjacency)
+    removed = bytearray(n)
+    for _, batch in removals:
+        for v in batch:
+            if removed[v]:
+                raise ValueError(f"node {v} is removed twice")
+            removed[v] = 1
+    parent = list(range(n))
+    size = [1] * n
+    present = bytearray(n)
+    best = 0
+    sizes = [0] * (len(removals) + 1)
+    groups = [[v for v in range(n) if not removed[v]]]
+    groups += [batch for _, batch in reversed(removals)]
+    for i, group in enumerate(groups):
+        for v in group:
+            present[v] = 1
+            root = v
+            for u in adjacency[v]:
+                if not present[u]:
+                    continue
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                if u != root:
+                    if size[u] > size[root]:
+                        root, u = u, root
+                    parent[u] = root
+                    size[root] += size[u]
+            if size[root] > best:
+                best = size[root]
+        sizes[len(removals) - i] = best
+    return sizes
+
+
+def snapshot(g: Graph) -> float | None:
+    """d of the graph as it stands: mean path length in its largest cluster.
+
+    None when that cluster has fewer than two nodes. It scans every live
+    node for the cluster, so it runs at d rows only.
+    """
+    members = g.largest_cluster()
+    return g.avg_shortest_path(members) if len(members) >= 2 else None
+
+
+def measure(
+    g: Graph,
+    removals: Removals,
+    cadence: "SnapshotCadence",
+    criterion: CrashCriterion,
+    early_stop: bool,
+) -> tuple[list[MetricsRow], int | None, float | None]:
+    """Rows of S and d along a finished removal order of the fresh ``g``.
+
+    ``removals`` is numbered from step 1, as an attack trace holds it.
+    Rows sit at step 0, at each step whose removal count crosses an
+    ``s_every`` or ``d_every`` mark, and at the final step. When
+    ``d_every`` is set, d is measured at step 0, at ``d_every`` crossings
+    and at the final step, on a replay of the order. With ``early_stop``
+    the order is cut at the first row, the final one aside, whose S
+    meets the criterion.
+
+    Returns the rows, the number of batches kept by the cut (None when
+    nothing was cut) and the exact crash threshold: the removal fraction
+    at the first kept step whose S meets the criterion, or None.
+    """
     n = g.node_count
-    giant = len(best) / n if n else 0.0
-    diameter = None
-    if with_diameter and len(best) >= 2:
-        diameter = g.avg_shortest_path(best)
-    return MetricsRow(
-        step=step,
-        removed_count=removed_count,
-        fraction_removed=removed_count / n if n else 0.0,
-        giant_fraction=giant,
-        cluster_diameter=diameter,
-        component_count=components,
+    sizes = giant_sizes(g.adjacency, removals)
+    counts = [0]
+    for _, batch in removals:
+        counts.append(counts[-1] + len(batch))
+    s_every, d_every = cadence.s_every, cadence.d_every
+    with_d = d_every is not None
+    # (step, measure d) per row; a step crosses a mark when the removal
+    # count passes a multiple of it
+    marks = [(0, with_d)]
+    for step in range(1, len(counts)):
+        before, after = counts[step - 1], counts[step]
+        due_d = with_d and after // d_every > before // d_every
+        if due_d or after // s_every > before // s_every:
+            marks.append((step, due_d))
+    kept = None
+    if early_stop:
+        for k, (step, _) in enumerate(marks):
+            if criterion.crashed(sizes[step] / n):
+                marks, kept = marks[: k + 1], step
+                break
+    last = len(removals) if kept is None else kept
+    if marks[-1][0] != last:
+        marks.append((last, with_d))
+    exact = next(
+        (counts[i] / n for i in range(last + 1) if criterion.crashed(sizes[i] / n)), None
     )
+
+    rows = []
+    replay = g.copy()
+    applied = 0
+    for step, due_d in marks:
+        d = None
+        if due_d:
+            for _, batch in removals[applied:step]:
+                for v in batch:
+                    replay.crash_node(v)
+            applied = step
+            d = snapshot(replay)
+        rows.append(
+            MetricsRow(
+                step=step,
+                removed_count=counts[step],
+                fraction_removed=counts[step] / n,
+                giant_fraction=sizes[step] / n,
+                cluster_diameter=d,
+            )
+        )
+    return rows, kept, exact
 
 
 def crash_threshold(trace: "AttackTrace", criterion: CrashCriterion) -> float | None:
@@ -91,15 +202,20 @@ def crash_threshold(trace: "AttackTrace", criterion: CrashCriterion) -> float | 
     return None
 
 
-def _nearest_row(rows: Sequence[MetricsRow], f: float) -> MetricsRow:
-    """Snapshot closest to f; ties go to the lower fraction."""
-    best = rows[0]
-    gap = abs(best.fraction_removed - f)
-    for row in rows[1:]:
-        d = abs(row.fraction_removed - f)
-        if d < gap:
-            best, gap = row, d
-    return best
+def _nearest_row(rows: Sequence[MetricsRow], fractions: list[float], f: float) -> MetricsRow:
+    """Row closest to f, by bisection of the rows' increasing fractions.
+
+    Ties go to the lower fraction.
+    """
+    i = bisect_left(fractions, f)
+    if i == 0:
+        return rows[0]
+    if i == len(rows):
+        return rows[-1]
+    below, above = rows[i - 1], rows[i]
+    if abs(above.fraction_removed - f) < abs(below.fraction_removed - f):
+        return above
+    return below
 
 
 @dataclass(frozen=True)
@@ -118,11 +234,13 @@ def curve_export(traces: Sequence["AttackTrace"]) -> list[CurvePoint]:
     The f grid is the union of all snapshot fractions; each trace
     contributes its nearest snapshot per grid point (ties to the lower
     f). d statistics cover only the traces that measured d there.
-    Traces from different configs (strategy or node count) are rejected.
+    Traces from different configs (strategy or node count), and traces
+    whose fractions do not strictly increase, are rejected.
     """
     if not traces:
         raise ValueError("no traces to export")
     key = (traces[0].strategy_key, traces[0].total_nodes)
+    fractions = []
     for t in traces:
         if (t.strategy_key, t.total_nodes) != key:
             raise ValueError(
@@ -130,13 +248,17 @@ def curve_export(traces: Sequence["AttackTrace"]) -> list[CurvePoint]:
             )
         if not t.snapshots:
             raise ValueError("trace without snapshots")
-    grid = sorted({row.fraction_removed for t in traces for row in t.snapshots})
+        fr = [row.fraction_removed for row in t.snapshots]
+        if any(b <= a for a, b in zip(fr, fr[1:])):
+            raise ValueError("snapshot fractions must strictly increase")
+        fractions.append(fr)
+    grid = sorted({f for fr in fractions for f in fr})
     points = []
     for f in grid:
         s_vals = []
         d_vals = []
-        for t in traces:
-            row = _nearest_row(t.snapshots, f)
+        for t, fr in zip(traces, fractions):
+            row = _nearest_row(t.snapshots, fr, f)
             s_vals.append(row.giant_fraction)
             if row.cluster_diameter is not None:
                 d_vals.append(row.cluster_diameter)

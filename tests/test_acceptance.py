@@ -44,6 +44,7 @@ from netattack import (
     crash_threshold,
     degree_histogram,
     generate_ba,
+    giant_sizes,
     load_edge_list,
     run_attack,
     write_edge_list,
@@ -332,18 +333,28 @@ def test_criterion_07_hub_dominant_edge_list(tmp_path, criterion_report):
 def test_criterion_08_oracle_equivalence(criterion_report):
     rng = random.Random(88)
     cluster_checked = 0
-    for _ in range(200):
+    steps_checked = 0
+    for i in range(200):
         n = rng.randrange(1, 13)
         g = build_graph(n, oracles.random_edges(rng, n, 0.3))
-        for v in rng.sample(range(n), rng.randrange(n + 1)):
-            g.crash_node(v)
-        comps = oracles.components(g.adjacency, g.alive)
-        report = g.largest_cluster()
-        assert g.component_count() == len(comps)
-        if comps:
-            assert report.members == oracles.largest_component(g.adjacency, g.alive)
-        else:
-            assert report.size == 0 and report.members == frozenset()
+        order = rng.sample(range(n), rng.randrange(n + 1))
+        # the same order in random batches, drawn apart from the main stream
+        cut = random.Random(i)
+        removals, lo = [], 0
+        while lo < len(order):
+            hi = lo + cut.randrange(1, 4)
+            removals.append((len(removals) + 1, tuple(order[lo:hi])))
+            lo = hi
+        sizes = giant_sizes(g.adjacency, removals)
+        assert sizes[0] == len(oracles.largest_component(g.adjacency, g.alive))
+        for step, batch in removals:
+            for v in batch:
+                g.crash_node(v)
+            assert sizes[step] == len(oracles.largest_component(g.adjacency, g.alive))
+            steps_checked += 1
+        members = g.largest_cluster()
+        assert len(members) == len(set(members))
+        assert set(members) == oracles.largest_component(g.adjacency, g.alive)
         cluster_checked += 1
 
     path_checked = 0
@@ -353,7 +364,7 @@ def test_criterion_08_oracle_equivalence(criterion_report):
         g = build_graph(n, oracles.random_connected_edges(rng, n))
         for v in rng.sample(range(n), rng.randrange(n // 4 + 1)):
             g.crash_node(v)
-        members = g.largest_cluster().members
+        members = g.largest_cluster()
         if len(members) < 2:
             continue
         got = g.avg_shortest_path(members)
@@ -364,6 +375,7 @@ def test_criterion_08_oracle_equivalence(criterion_report):
 
     criterion_report(
         f"criterion 08 PASS  {cluster_checked} cluster enumerations exact;"
+        f" giant_sizes exact at {steps_checked} batched removal steps;"
         f" {path_checked} path means within 1e-9 (worst gap {worst:.2e})"
     )
 

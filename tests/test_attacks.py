@@ -8,6 +8,7 @@ import oracles
 from netattack import (
     BaParams,
     CrashCriterion,
+    Graph,
     ProtectedRule,
     SnapshotCadence,
     StrategySpec,
@@ -272,7 +273,9 @@ class TestRunAttack:
         trace = run_attack(g, StrategySpec("intentional"))
         assert trace.stop_reason == STOP_GRAPH_EXHAUSTED
         assert trace.removed_count == g.node_count
-        assert g.live_count == 0
+        removed = sorted(v for _, ids in trace.removals for v in ids)
+        assert removed == list(range(g.node_count))
+        assert g.live_count == g.node_count  # the caller's graph stays fresh
         assert trace.final.giant_fraction == 0.0
 
     def test_protected_nodes_survive(self):
@@ -283,15 +286,15 @@ class TestRunAttack:
         removed = {v for _, ids in trace.removals for v in ids}
         assert hub not in removed
         assert trace.stop_reason == STOP_STRATEGY_STALLED
-        assert g.alive[hub]
-        assert trace.removed_count == 299
+        assert trace.removed_count == len(removed) == 299
+        assert g.live_count == 300
 
     def test_budget_stop(self):
         g = generate_ba(BaParams(400, 2, seed=2))
         trace = run_attack(g, StrategySpec("random_failure", seed=3), budget=0.25)
         assert trace.stop_reason == STOP_BUDGET_EXHAUSTED
-        assert trace.removed_count == 100
-        assert g.live_count == 300
+        assert trace.removed_count == len({v for _, ids in trace.removals for v in ids}) == 100
+        assert g.live_count == 400
 
     def test_early_stop_reports_crash(self):
         g = generate_ba(BaParams(500, 2, seed=3))
@@ -304,7 +307,8 @@ class TestRunAttack:
         )
         assert trace.stop_reason == STOP_NETWORK_CRASHED
         assert trace.final.giant_fraction <= 0.05
-        assert g.live_count > 0
+        assert trace.final.removed_count == trace.removed_count < g.node_count
+        assert g.live_count == g.node_count
 
     def test_lower_bounded_stall(self):
         g = star_plus_tail(spokes=4, tail=0)
@@ -452,7 +456,7 @@ class TestRunAttack:
             removed = [v for _, ids in trace.removals for v in ids]
             assert len(removed) == len(set(removed)) == trace.removed_count
             assert all(0 <= v < n for v in removed)
-            assert g.live_count == n - trace.removed_count
+            assert g.live_count == n
             assert trace.snapshots[0].removed_count == 0
             assert trace.final.removed_count == trace.removed_count
             assert trace.stop_reason in {
@@ -463,4 +467,69 @@ class TestRunAttack:
             if trace.stop_reason == STOP_BUDGET_EXHAUSTED:
                 assert trace.removed_count / n >= budget
             if trace.stop_reason == STOP_GRAPH_EXHAUSTED:
-                assert g.live_count == 0
+                assert trace.removed_count == n
+
+    def test_early_stop_cut_matches_oracle_replay(self):
+        """The cut is the first cadence row, step 0 included, at or below epsilon."""
+        rng = random.Random(17)
+        kinds = [
+            StrategySpec("intentional"),
+            StrategySpec("random_failure"),
+            StrategySpec("greedy_sequential"),
+            StrategySpec("coordinated"),
+            StrategySpec("lower_bounded_parallel", threshold=1),
+        ]
+        cuts = 0
+        for trial in range(60):
+            n = rng.randrange(5, 50)
+            g = build_graph(n, oracles.random_edges(rng, n, rng.choice([0.02, 0.06, 0.15])))
+            spec = kinds[trial % len(kinds)].with_seed(trial)
+            cadence = SnapshotCadence(s_every=rng.choice([1, 3, 7]), d_every=rng.choice([None, 4]))
+            criterion = CrashCriterion(rng.choice([0.05, 0.2, 0.4]))
+            full = run_attack(g, spec, cadence=cadence)
+            cut = run_attack(g, spec, cadence=cadence, early_stop=True, criterion=criterion)
+            alive = [True] * n
+            prev = removed = 0
+            want = None  # (kept batches, S) of the first crashed cadence row
+            for i, (_, batch) in enumerate([(0, ())] + full.removals):
+                for v in batch:
+                    alive[v] = False
+                removed += len(batch)
+                marks = [cadence.s_every] + ([cadence.d_every] if cadence.d_every else [])
+                is_row = i == 0 or any(removed // m > prev // m for m in marks)
+                prev = removed
+                s = len(oracles.largest_component(g.adjacency, alive)) / n
+                if is_row and s <= criterion.epsilon:
+                    want = (i, s)
+                    break
+            if want is None:
+                assert cut.removals == full.removals
+                assert cut.stop_reason == full.stop_reason
+                assert cut.snapshots == full.snapshots
+                continue
+            cuts += 1
+            assert cut.stop_reason == STOP_NETWORK_CRASHED
+            assert cut.removals == full.removals[: want[0]]
+            assert cut.final.step == want[0]
+            assert cut.final.giant_fraction == want[1]
+            assert cut.snapshots == full.snapshots[: len(cut.snapshots)]
+        assert cuts >= 20
+
+    def test_d_rows_are_the_only_full_scans(self, monkeypatch):
+        calls = []
+        scan = Graph.largest_cluster
+
+        def counted(g):
+            calls.append(g.live_count)
+            return scan(g)
+
+        monkeypatch.setattr(Graph, "largest_cluster", counted)
+        g = generate_ba(BaParams(300, 2, seed=12))
+        spec = StrategySpec("random_failure", seed=4)
+        trace = run_attack(g, spec, budget=0.4, cadence=SnapshotCadence(s_every=5))
+        assert len(trace.snapshots) == 25
+        assert calls == []
+        trace = run_attack(g, spec, budget=0.4, cadence=SnapshotCadence(s_every=5, d_every=40))
+        d_rows = [r for r in trace.snapshots if r.cluster_diameter is not None]
+        assert [r.removed_count for r in d_rows] == [0, 40, 80, 120]
+        assert len(calls) == len(d_rows)

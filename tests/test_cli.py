@@ -190,13 +190,34 @@ class TestErrorPaths:
             ({"budget": "0.5"}, "budget"),
             ({"early_stop": "false"}, "early_stop"),
             ({"snapshot_cadence": {"s_every": "5"}}, "snapshot_cadence.s_every"),
-            ({"strategies": [{"kind": "lower_bounded_parallel", "threshold": "4"}]},
-             "strategy threshold"),
-            ({"strategies": [{"kind": "intentional", "seed": "1"}]}, "strategy seed"),
-            (
+            # a strategy entry is named by its position in the list
+            pytest.param(
+                {"strategies": [{"kind": "lower_bounded_parallel", "threshold": "4"}]},
+                "strategies[0].threshold",
+                id="strategy0-threshold",
+            ),
+            pytest.param(
+                {"strategies": [{"kind": "intentional", "seed": "1"}]},
+                "strategies[0].seed",
+                id="strategy0-seed",
+            ),
+            pytest.param(
                 {"strategies": [{"kind": "intentional",
                                  "protected": {"kind": "miss_medium_band", "miss_frac": "x"}}]},
-                "protected miss_frac",
+                "strategies[0].protected.miss_frac",
+                id="strategy0-miss_frac",
+            ),
+            pytest.param(
+                {"strategies": [{"kind": "intentional"}, {"kind": "coordinated"},
+                                {"kind": "random_failure", "seed": "1"},
+                                {"kind": "greedy_sequential"}]},
+                "strategies[2].seed",
+                id="strategy2-seed",
+            ),
+            pytest.param(
+                {"strategies": [{"kind": "intentional"}, {"kind": "bogus"}]},
+                "strategies[1]:",
+                id="strategy1-kind",
             ),
         ],
     )

@@ -198,6 +198,9 @@ class TestRunExperiment:
         row = manifest["trials"][0]
         assert row["graph_seed"] == 5 and row["attack_seed"] == 5
         assert {"strategy", "stop_reason", "removed", "final_S", "crash_threshold"} <= set(row)
+        trace = run_trials(cfg)[(0, 0)][0]
+        assert row["exact_crash_threshold"] == trace.exact_crash_threshold is not None
+        assert "exact" not in (out / "thresholds.csv").read_text()
         labels = {t["strategy"] for t in manifest["thresholds"]}
         assert labels == {"intentional", "lower_bounded_parallel_t3"}
         th = (out / "thresholds.csv").read_text().splitlines()

@@ -7,8 +7,9 @@ import pytest
 
 import netattack
 import oracles
-from netattack import Graph, build_graph
+from netattack import CrashCriterion, Graph, SnapshotCadence, build_graph
 from netattack import graph as graph_mod
+from netattack.metrics import measure
 
 
 def path_graph(n: int) -> Graph:
@@ -34,8 +35,7 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.live_count == 0
-        assert g.largest_cluster().size == 0
-        assert g.largest_cluster().fraction == 0.0
+        assert g.largest_cluster() == []
 
 
 class TestCrash:
@@ -90,20 +90,15 @@ class TestDegreeTracking:
 class TestClusters:
     def test_fraction_uses_original_node_count(self):
         g = path_graph(3)
+        cadence = SnapshotCadence(s_every=1)
+        rows, _, _ = measure(g, [(1, (1,))], cadence, CrashCriterion(), early_stop=False)
+        assert rows[-1].giant_fraction == pytest.approx(1 / 3)
         g.crash_node(1)
-        report = g.largest_cluster()
-        assert report.size == 1
-        assert report.fraction == pytest.approx(1 / 3)
+        assert sorted(g.largest_cluster()) == [0]
 
     def test_size_tie_prefers_smallest_contained_id(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        assert g.largest_cluster().members == frozenset({0, 1})
-
-    def test_component_count(self):
-        g = build_graph(5, [(0, 1), (2, 3)])
-        assert g.component_count() == 3  # {0,1}, {2,3}, {4}
-        g.crash_node(4)
-        assert g.component_count() == 2
+        assert sorted(g.largest_cluster()) == [0, 1]
 
     def test_against_exhaustive_enumeration(self):
         rng = random.Random(7)
@@ -112,19 +107,15 @@ class TestClusters:
             g = build_graph(n, oracles.random_edges(rng, n, 0.3))
             for v in rng.sample(range(n), rng.randrange(n)):
                 g.crash_node(v)
-            comps = oracles.components(g.adjacency, g.alive)
-            report = g.largest_cluster()
-            if comps:
-                assert report.members == oracles.largest_component(g.adjacency, g.alive)
-            else:
-                assert report.size == 0
-            assert g.component_count() == len(comps)
+            members = g.largest_cluster()
+            assert len(members) == len(set(members))
+            assert set(members) == oracles.largest_component(g.adjacency, g.alive)
 
 
 class TestAvgShortestPath:
     def test_path_graph_example(self):
         g = path_graph(3)
-        members = g.largest_cluster().members
+        members = g.largest_cluster()
         assert g.avg_shortest_path(members) == pytest.approx(4 / 3)
 
     def test_pairs_and_singletons(self):
@@ -153,11 +144,11 @@ class TestAvgShortestPath:
             g = build_graph(n, oracles.random_connected_edges(rng, n))
             for v in rng.sample(range(n), rng.randrange(n // 3 + 1)):
                 g.crash_node(v)
-            report = g.largest_cluster()
-            if report.size < 2:
+            members = g.largest_cluster()
+            if len(members) < 2:
                 continue
-            want = oracles.floyd_warshall_mean(g.adjacency, g.alive, report.members)
-            assert g.avg_shortest_path(report.members) == pytest.approx(want, abs=1e-9)
+            want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+            assert g.avg_shortest_path(members) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize(
         "n, chunk_words, min_size",
@@ -173,10 +164,10 @@ class TestAvgShortestPath:
         g = build_graph(n, oracles.random_connected_edges(rng, n, extra=0.03))
         for v in rng.sample(range(n), 5):
             g.crash_node(v)
-        report = g.largest_cluster()
-        assert report.size >= min_size
-        want = oracles.floyd_warshall_mean(g.adjacency, g.alive, report.members)
-        assert g.avg_shortest_path(report.members) == pytest.approx(want, abs=1e-9)
+        members = g.largest_cluster()
+        assert len(members) >= min_size
+        want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+        assert g.avg_shortest_path(members) == pytest.approx(want, abs=1e-9)
 
     def test_member_subset_paths_run_through_non_members(self):
         g = path_graph(3)

@@ -1,17 +1,24 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from netattack import (
     AttackTrace,
     CrashCriterion,
     CurvePoint,
     MetricsRow,
+    SnapshotCadence,
     build_graph,
     crash_threshold,
     curve_export,
+    giant_sizes,
     snapshot,
     write_curve_csv,
 )
-from netattack.metrics import threshold_stats
+from netattack.metrics import _nearest_row, measure, threshold_stats
 
 
 def row(f: float, s: float, d=None) -> MetricsRow:
@@ -21,7 +28,6 @@ def row(f: float, s: float, d=None) -> MetricsRow:
         fraction_removed=f,
         giant_fraction=s,
         cluster_diameter=d,
-        component_count=1,
     )
 
 
@@ -52,20 +58,98 @@ class TestCrashCriterion:
 class TestSnapshot:
     def test_fields(self):
         g = build_graph(4, [(0, 1), (1, 2)])
-        g.crash_node(3)
-        r = snapshot(g, step=7, removed_count=1, with_diameter=True)
-        assert r.step == 7
+        cadence = SnapshotCadence(s_every=1, d_every=1)
+        rows, kept, exact = measure(g, [(1, (3,))], cadence, CrashCriterion(), False)
+        r = rows[-1]
+        assert r.step == 1
         assert r.removed_count == 1
         assert r.fraction_removed == pytest.approx(0.25)
         assert r.giant_fraction == pytest.approx(0.75)
         assert r.cluster_diameter == pytest.approx((1 + 1 + 2) * 2 / 6)
-        assert r.component_count == 1
+        assert (kept, exact) == (None, None)
+        g.crash_node(3)
+        assert snapshot(g) == r.cluster_diameter
 
     def test_diameter_opt_out_and_tiny_cluster(self):
         g = build_graph(2, [(0, 1)])
-        assert snapshot(g, 0, 0, with_diameter=False).cluster_diameter is None
+        no_d = SnapshotCadence(s_every=1, d_every=None)
+        rows, _, _ = measure(g, [(1, (1,))], no_d, CrashCriterion(), False)
+        assert [r.cluster_diameter for r in rows] == [None, None]
+        rows, _, _ = measure(g, [(1, (1,))], SnapshotCadence(1, 1), CrashCriterion(), False)
+        assert rows[0].cluster_diameter == 1.0
+        assert rows[1].cluster_diameter is None
         g.crash_node(1)
-        assert snapshot(g, 1, 1, with_diameter=True).cluster_diameter is None
+        assert snapshot(g) is None
+
+
+def batched(order: list[int], cuts: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """``order`` split at ``cuts`` into (step, batch) pairs, as a trace holds them."""
+    bounds = sorted({c for c in cuts if 0 < c < len(order)}) + [len(order)]
+    out, lo = [], 0
+    for hi in bounds:
+        if hi > lo:
+            out.append((len(out) + 1, tuple(order[lo:hi])))
+        lo = hi
+    return out
+
+
+@st.composite
+def graphs_and_orders(draw):
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    order = draw(st.permutations(range(n)))
+    order = order[: draw(st.integers(0, n))]
+    cuts = draw(st.lists(st.integers(0, n), max_size=n))
+    return n, edges, batched(list(order), cuts)
+
+
+class TestGiantSizes:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_orders())
+    def test_matches_oracle_after_every_step(self, case):
+        n, edges, removals = case
+        g = build_graph(n, edges)
+        sizes = giant_sizes(g.adjacency, removals)
+        assert len(sizes) == len(removals) + 1
+        alive = [True] * n
+        for i, (_, batch) in enumerate([(0, ())] + removals):
+            for v in batch:
+                alive[v] = False
+            assert sizes[i] == len(oracles.largest_component(g.adjacency, alive))
+
+    def test_rejects_a_node_removed_twice(self):
+        g = build_graph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="node 1 is removed twice"):
+            giant_sizes(g.adjacency, [(1, (1,)), (2, (2, 1))])
+
+
+class TestExactCrashThreshold:
+    def test_first_step_at_or_below_epsilon(self):
+        # a 20-node path cut from the left in batches; rows every 6 removals
+        rng = random.Random(3)
+        g = build_graph(20, [(i, i + 1) for i in range(19)])
+        removals = batched(list(range(20)), sorted(rng.sample(range(1, 20), 8)))
+        criterion = CrashCriterion(0.25)
+        alive = [True] * 20
+        removed = 0
+        want = None
+        for _, batch in [(0, ())] + removals:
+            for v in batch:
+                alive[v] = False
+            removed += len(batch)
+            s = len(oracles.largest_component(g.adjacency, alive)) / 20
+            if want is None and s <= 0.25:
+                want = removed / 20
+        rows, _, exact = measure(g, removals, SnapshotCadence(s_every=6), criterion, False)
+        assert exact == want
+        # the interpolated threshold reads only the rows, the exact one every step
+        assert want not in [r.fraction_removed for r in rows]
+        _, _, never = measure(g, removals[:2], SnapshotCadence(s_every=6), criterion, False)
+        assert never is None
+        apart = build_graph(20, [])
+        _, _, at_once = measure(apart, removals, SnapshotCadence(s_every=6), criterion, False)
+        assert at_once == 0.0
 
 
 class TestCrashThreshold:
@@ -119,6 +203,31 @@ class TestCurveExport:
             curve_export([])
         with pytest.raises(ValueError, match="without snapshots"):
             curve_export([trace([])])
+        with pytest.raises(ValueError, match="strictly increase"):
+            curve_export([trace([row(0.0, 1.0), row(0.2, 0.5), row(0.2, 0.4)])])
+
+    def test_bisection_matches_linear_scan(self):
+        def linear(rows, f):
+            best = rows[0]
+            for r in rows[1:]:
+                if abs(r.fraction_removed - f) < abs(best.fraction_removed - f):
+                    best = r
+            return best
+
+        rng = random.Random(21)
+        for n in (7, 10, 100, 1000, 4096):
+            for _ in range(20):
+                counts = sorted(rng.sample(range(n + 1), rng.randrange(1, min(n, 30))))
+                rows = [row(k / n, rng.random()) for k in counts]
+                fractions = [r.fraction_removed for r in rows]
+                # every grid point of another trace, and the exact midpoints
+                probes = [k / n for k in range(n + 1)]
+                probes += [(a + b) / 2 for a, b in zip(fractions, fractions[1:])]
+                for f in probes:
+                    assert _nearest_row(rows, fractions, f) is linear(rows, f)
+        # an exact tie goes to the lower fraction
+        rows = [row(0.0, 1.0), row(0.5, 0.5)]
+        assert _nearest_row(rows, [0.0, 0.5], 0.25) is rows[0]
 
     def test_csv_format(self, tmp_path):
         pts = [
