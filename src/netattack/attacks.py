@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .graph import Graph
-from .metrics import CrashCriterion, MetricsRow, measure
+from .metrics import UNMEASURED, CrashCriterion, MetricsRow, measure
 
 DISTRIBUTED_KINDS = ("greedy_sequential", "coordinated", "lower_bounded_parallel")
 STRATEGY_KINDS = ("intentional", "random_failure") + DISTRIBUTED_KINDS
@@ -356,6 +356,7 @@ def run_attack(
     cadence: SnapshotCadence | None = None,
     early_stop: bool = False,
     criterion: CrashCriterion | None = None,
+    intact_d: object = UNMEASURED,
 ) -> AttackTrace:
     """Drive one attack to its stopping point, then measure it.
 
@@ -365,7 +366,9 @@ def run_attack(
     step 0, whenever the removal count crosses a cadence mark, and at the
     final state. Early stop cuts the order at the first row (the final
     one aside) that meets the crash criterion, so the cadence bounds how
-    precisely the crash point is located.
+    precisely the crash point is located. ``intact_d`` is ``snapshot(g)``
+    when the caller already has it, so strategies run on one graph
+    measure the intact d once.
 
     Stop reasons: network_crashed (early stop hit the crash criterion),
     strategy_stalled (no eligible target but live nodes remain),
@@ -383,7 +386,9 @@ def run_attack(
     if criterion is None:
         criterion = CrashCriterion()
     removals, stop_reason = _removal_order(g.copy(), spec, budget)
-    rows, kept, exact = measure(g, removals, cadence, criterion, early_stop)
+    rows, kept, exact = measure(
+        g, removals, cadence, criterion, early_stop, intact_d=intact_d
+    )
     if kept is not None:
         removals, stop_reason = removals[:kept], STOP_NETWORK_CRASHED
     return AttackTrace(

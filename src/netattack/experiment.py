@@ -1,9 +1,9 @@
 """Batch experiment runner: config in, CSV tables (and SVG charts) out.
 
-A run is a grid of (strategy x trial). Every cell builds its own graph,
-so cells are embarrassingly parallel; results are merged in config
-order afterwards, which keeps every output byte-identical no matter
-how many worker processes were used.
+A run is a grid of (strategy x trial). Each trial builds its graph once
+and runs every strategy on it, so trials are embarrassingly parallel;
+results are merged in config order afterwards, which keeps every output
+byte-identical no matter how many worker processes were used.
 """
 
 from __future__ import annotations
@@ -12,17 +12,19 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
 
 from ._version import __version__
 from .attacks import AttackTrace, SnapshotCadence, StrategySpec, json_field, run_attack
 from .generators import BaParams, generate_ba, load_edge_list
 from .graph import Graph
 from .metrics import (
+    UNMEASURED,
     CrashCriterion,
     crash_threshold,
     curve_export,
+    snapshot,
     threshold_stats,
     write_curve_csv,
 )
@@ -206,51 +208,50 @@ def write_trace_csv(path: str | Path, trace: AttackTrace) -> None:
             fh.write(f"{step},{joined},{f_val!r},{s_val},{d_val}\n")
 
 
-def _trial_job(payload) -> tuple[int, int, AttackTrace, float]:
-    (si, ti, network, spec, budget, policy, epsilon, early_stop, base_seed) = payload
-    g = materialize_graph(network, base_seed + ti)
-    run_spec = spec.with_seed(base_seed + spec.seed + ti)
-    started = time.perf_counter()
-    trace = run_attack(
-        g,
-        run_spec,
-        budget=budget,
-        cadence=policy.resolve(g.node_count),
-        early_stop=early_stop,
-        criterion=CrashCriterion(epsilon),
-    )
-    return si, ti, trace, time.perf_counter() - started
+def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, float]]:
+    """Every strategy of trial ``ti``, in config order, on one graph.
+
+    Each attack runs on its own copy, so the graph stays fresh between
+    strategies; the intact graph's d is measured once and shared.
+    """
+    g = materialize_graph(config.network, config.base_seed + ti)
+    cadence = config.cadence.resolve(g.node_count)
+    criterion = CrashCriterion(config.crash_epsilon)
+    intact_d = snapshot(g) if cadence.d_every is not None else UNMEASURED
+    results = []
+    for spec in config.strategies:
+        started = time.perf_counter()
+        trace = run_attack(
+            g,
+            spec.with_seed(config.base_seed + spec.seed + ti),
+            budget=config.budget,
+            cadence=cadence,
+            early_stop=config.early_stop,
+            criterion=criterion,
+            intact_d=intact_d,
+        )
+        results.append((trace, time.perf_counter() - started))
+    return results
 
 
 def run_trials(
     config: ExperimentConfig, threads: int = 1
 ) -> dict[tuple[int, int], tuple[AttackTrace, float]]:
-    """Execute the full (strategy x trial) grid, deterministically keyed."""
-    payloads = [
-        (
-            si,
-            ti,
-            config.network,
-            spec,
-            config.budget,
-            config.cadence,
-            config.crash_epsilon,
-            config.early_stop,
-            config.base_seed,
-        )
-        for si, spec in enumerate(config.strategies)
-        for ti in range(config.trials)
-    ]
-    results: dict[tuple[int, int], tuple[AttackTrace, float]] = {}
-    if threads <= 1 or len(payloads) == 1:
-        for p in payloads:
-            si, ti, trace, wall = _trial_job(p)
-            results[(si, ti)] = (trace, wall)
+    """Execute the full (strategy x trial) grid, deterministically keyed.
+
+    Workers split the trials; each builds its trial's graph once.
+    """
+    trials = range(config.trials)
+    if threads <= 1 or len(trials) == 1:
+        per_trial = [_trial_job(config, ti) for ti in trials]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for si, ti, trace, wall in pool.map(_trial_job, payloads):
-                results[(si, ti)] = (trace, wall)
-    return results
+        with ProcessPoolExecutor(max_workers=min(threads, len(trials))) as pool:
+            per_trial = list(pool.map(_trial_job, repeat(config), trials))
+    return {
+        (si, ti): per_trial[ti][si]
+        for si in range(len(config.strategies))
+        for ti in trials
+    }
 
 
 def run_experiment(

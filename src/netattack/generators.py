@@ -38,28 +38,26 @@ def generate_ba(params: BaParams) -> Graph:
     """
     rng = random.Random(params.seed)
     n, m = params.n, params.m
-    edges: list[tuple[int, int]] = []
-    degree = [0] * n
+    # targets are distinct earlier nodes, so appending keeps every list
+    # sorted and free of duplicates and self-loops: no build_graph pass
+    adjacency: list[list[int]] = [[] for _ in range(n)]
     urn: list[int] = []
     for i in range(m):
-        for j in range(i + 1, m):
-            edges.append((i, j))
-        degree[i] = m - 1
+        adjacency[i].extend(j for j in range(m) if j != i)
         urn.extend([i] * max(m - 1, 1))
     for v in range(m, n):
         targets: set[int] = set()
         while len(targets) < m:
             targets.add(urn[rng.randrange(len(urn))])
         for t in sorted(targets):
-            edges.append((t, v))
             # degree-0 nodes carry one urn entry; replace it on first hit
-            if degree[t] == 0:
+            if not adjacency[t]:
                 urn.remove(t)
-            degree[t] += 1
+            adjacency[t].append(v)
+            adjacency[v].append(t)
             urn.append(t)
-        degree[v] = m
         urn.extend([v] * m)
-    return build_graph(n, edges)
+    return Graph(adjacency)
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:

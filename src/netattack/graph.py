@@ -79,10 +79,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def live_nodes(self) -> list[int]:
-        """Live node ids in ascending order."""
-        return sorted(self._live_list)
-
     def live_neighbors(self, v: int) -> set[int]:
         """Live neighbors of v; valid for crashed v as well."""
         self._check_id(v)

@@ -25,6 +25,9 @@ if TYPE_CHECKING:
 
 Removals = Sequence[tuple[int, Sequence[int]]]
 
+# default of ``intact_d``: d of the intact graph is not known yet
+UNMEASURED = object()
+
 
 @dataclass(frozen=True)
 class CrashCriterion:
@@ -113,6 +116,8 @@ def measure(
     cadence: "SnapshotCadence",
     criterion: CrashCriterion,
     early_stop: bool,
+    *,
+    intact_d: object = UNMEASURED,
 ) -> tuple[list[MetricsRow], int | None, float | None]:
     """Rows of S and d along a finished removal order of the fresh ``g``.
 
@@ -120,9 +125,10 @@ def measure(
     Rows sit at step 0, at each step whose removal count crosses an
     ``s_every`` or ``d_every`` mark, and at the final step. When
     ``d_every`` is set, d is measured at step 0, at ``d_every`` crossings
-    and at the final step, on a replay of the order. With ``early_stop``
-    the order is cut at the first row, the final one aside, whose S
-    meets the criterion.
+    and at the final step, on a replay of the order; ``intact_d``, when
+    given, is ``snapshot(g)`` already taken and serves as the step-0 d.
+    With ``early_stop`` the order is cut at the first row, the final one
+    aside, whose S meets the criterion.
 
     Returns the rows, the number of batches kept by the cut (None when
     nothing was cut) and the exact crash threshold: the removal fraction
@@ -161,7 +167,9 @@ def measure(
     applied = 0
     for step, due_d in marks:
         d = None
-        if due_d:
+        if due_d and step == 0 and intact_d is not UNMEASURED:
+            d = intact_d
+        elif due_d:
             for _, batch in removals[applied:step]:
                 for v in batch:
                     replay.crash_node(v)

@@ -1,20 +1,30 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import oracles
 from netattack import (
     AttackTrace,
+    BaParams,
     CadencePolicy,
     ConfigError,
+    CrashCriterion,
     ExperimentConfig,
+    SnapshotCadence,
     StrategySpec,
+    build_graph,
+    generate_ba,
     materialize_graph,
+    run_attack,
     run_experiment,
     run_trials,
+    snapshot,
     write_trace_csv,
 )
 from netattack import experiment as experiment_mod
+from netattack import metrics as metrics_mod
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -171,6 +181,13 @@ class TestTraceCsv:
             assert has_s == (int(parts[0]) in measured)
 
 
+THREE_STRATEGIES = (
+    StrategySpec("intentional"),
+    StrategySpec("random_failure"),
+    StrategySpec("coordinated"),
+)
+
+
 class TestRunTrials:
     def test_grid_and_parallel_equivalence(self):
         cfg = small_config()
@@ -180,6 +197,130 @@ class TestRunTrials:
         for key in seq:
             assert seq[key][0].removals == par[key][0].removals
             assert seq[key][0].snapshots == par[key][0].snapshots
+
+    def test_one_graph_per_trial_stays_fresh(self, monkeypatch):
+        built = []
+
+        def recording(network, graph_seed):
+            g = materialize_graph(network, graph_seed)
+            built.append((graph_seed, g))
+            return g
+
+        monkeypatch.setattr(experiment_mod, "materialize_graph", recording)
+        cfg = small_config(strategies=THREE_STRATEGIES, trials=4)
+        results = run_trials(cfg)
+        assert [seed for seed, _ in built] == [5, 6, 7, 8]
+        for _, g in built:
+            assert g.live_count == g.node_count
+            assert all(g.alive)
+        assert set(results) == {(si, ti) for si in range(3) for ti in range(4)}
+
+    @pytest.mark.parametrize("d_every, per_trial", [(25, 1), (None, 0)])
+    def test_intact_d_measured_once_per_trial(self, monkeypatch, d_every, per_trial):
+        intact = []
+
+        def recording(g):
+            if g.live_count == g.node_count:
+                intact.append(g.node_count)
+            return snapshot(g)
+
+        monkeypatch.setattr(experiment_mod, "snapshot", recording)
+        monkeypatch.setattr(metrics_mod, "snapshot", recording)
+        cadence = CadencePolicy(s_every=5, d_every=d_every, d_enabled=d_every is not None)
+        cfg = small_config(strategies=THREE_STRATEGIES, trials=3, cadence=cadence)
+        results = run_trials(cfg)
+        assert len(intact) == 3 * per_trial
+        for trace, _ in results.values():
+            first = trace.snapshots[0]
+            assert first.step == 0
+            assert (first.cluster_diameter is not None) == (d_every is not None)
+
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        opened = []
+
+        class RecordingPool:
+            """Runs the jobs in this process; records the requested size."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(trials=3, cadence=CadencePolicy(s_every=10, d_enabled=False))
+        wide = run_trials(cfg, threads=8)
+        assert opened == [3]
+        run_trials(cfg, threads=2)
+        assert opened == [3, 2]
+        serial = run_trials(cfg, threads=1)
+        assert opened == [3, 2]
+        assert {k: v[0] for k, v in wide.items()} == {k: v[0] for k, v in serial.items()}
+
+
+class TestSharedIntactD:
+    """run_attack given the intact d matches run_attack measuring it itself."""
+
+    SPECS = (
+        StrategySpec("intentional"),
+        StrategySpec("random_failure"),
+        StrategySpec("greedy_sequential"),
+        StrategySpec("coordinated"),
+        StrategySpec("lower_bounded_parallel", threshold=2),
+    )
+
+    @staticmethod
+    def assert_same(g, spec, **kwargs):
+        own = run_attack(g, spec, **kwargs)
+        shared = run_attack(g, spec, intact_d=snapshot(g), **kwargs)
+        assert shared.removals == own.removals
+        assert shared.snapshots == own.snapshots
+        assert shared.stop_reason == own.stop_reason
+        assert g.live_count == g.node_count
+        return own
+
+    def test_seeded_random_and_ba_graphs(self):
+        rng = random.Random(23)
+        graphs = [generate_ba(BaParams(rng.randrange(20, 120), 2, seed=s)) for s in range(6)]
+        for _ in range(6):
+            n = rng.randrange(10, 80)
+            graphs.append(build_graph(n, oracles.random_edges(rng, n, 0.08)))
+        measured = 0
+        for i, g in enumerate(graphs):
+            for j, spec in enumerate(self.SPECS):
+                for d_every in (None, 7):
+                    trace = self.assert_same(
+                        g,
+                        spec.with_seed(i * 10 + j),
+                        budget=0.8,
+                        cadence=SnapshotCadence(s_every=3, d_every=d_every),
+                        early_stop=(i + j) % 2 == 0,
+                        criterion=CrashCriterion(0.1),
+                    )
+                    measured += trace.snapshots[0].cluster_diameter is not None
+        assert measured == len(graphs) * len(self.SPECS)
+
+    def test_early_stop_crashed_at_step_zero(self):
+        # 40 nodes, biggest cluster 3: S = 0.075 <= epsilon before any removal
+        g = build_graph(40, [(0, 1), (1, 2), (5, 6)])
+        for spec in self.SPECS:
+            trace = self.assert_same(
+                g,
+                spec.with_seed(3),
+                cadence=SnapshotCadence(s_every=2, d_every=4),
+                early_stop=True,
+                criterion=CrashCriterion(0.1),
+            )
+            assert trace.removals == []
+            assert [row.step for row in trace.snapshots] == [0]
+            assert trace.snapshots[0].cluster_diameter == pytest.approx(4 / 3)
+            assert trace.stop_reason == "network_crashed"
 
 
 class TestRunExperiment:

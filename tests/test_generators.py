@@ -35,6 +35,17 @@ class TestGenerateBa:
         assert g.node_count == n
         assert g.live_count == n
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_adjacency_matches_build_graph(self, m, seed):
+        n = 120
+        g = generate_ba(BaParams(n, m, seed=seed))
+        edges = [(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v]
+        oracle = build_graph(n, edges)
+        assert g.adjacency == oracle.adjacency
+        assert (g.dropped_duplicates, g.dropped_self_loops) == (0, 0)
+        assert (oracle.dropped_duplicates, oracle.dropped_self_loops) == (0, 0)
+
     def test_every_node_connected(self):
         g = generate_ba(BaParams(300, 2, seed=3))
         assert len(g.largest_cluster()) == 300
