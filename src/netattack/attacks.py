@@ -40,29 +40,6 @@ STOP_STRATEGY_STALLED = "strategy_stalled"
 STOP_BUDGET_EXHAUSTED = "budget_exhausted"
 STOP_GRAPH_EXHAUSTED = "graph_exhausted"
 
-_REQUIRED = object()
-
-
-def json_field(data: dict, key: str, kind: type, default=_REQUIRED, *, name: str = ""):
-    """``data[key]`` checked against a JSON type, or ``default`` if absent.
-
-    A missing required key or a wrong type raises ValueError naming the
-    field. A bool is never an int, an int is a float, and null passes
-    wherever the default is None.
-    """
-    name = name or key
-    if key not in data:
-        if default is _REQUIRED:
-            raise ValueError(f"{name} is required")
-        return default
-    value = data[key]
-    if value is None and default is None:
-        return None
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return value
-
 
 @dataclass(frozen=True)
 class ProtectedRule:
@@ -129,57 +106,6 @@ class StrategySpec:
         if self.kind == "lower_bounded_parallel":
             return f"lower_bounded_parallel_t{self.threshold}"
         return self.kind
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "seed": self.seed}
-        if self.protected.kind != "none":
-            out["protected"] = {
-                "kind": self.protected.kind,
-                "top_frac": self.protected.top_frac,
-                "band_frac": self.protected.band_frac,
-                "miss_frac": self.protected.miss_frac,
-            }
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
-        if self.initial_target != "random_live":
-            out["initial_target"] = self.initial_target
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict, where: str = "strategy") -> "StrategySpec":
-        """Parse one strategy entry; every error names it by ``where``."""
-        if not isinstance(data, dict):
-            raise ValueError(f"{where} must be an object, got {type(data).__name__}")
-        known = {"kind", "seed", "protected", "threshold", "initial_target"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"{where}: unknown strategy keys: {sorted(extra)}")
-        if "kind" not in data:
-            raise ValueError(f"{where} needs a 'kind'")
-        p = json_field(data, "protected", dict, {}, name=f"{where}.protected")
-        p_extra = set(p) - {"kind", "top_frac", "band_frac", "miss_frac"}
-        if p_extra:
-            raise ValueError(f"{where}: unknown protected keys: {sorted(p_extra)}")
-        target = data.get("initial_target", "random_live")
-        if not isinstance(target, str):
-            target = json_field(data, "initial_target", int, name=f"{where}.initial_target")
-        fields = dict(
-            kind=json_field(data, "kind", str, name=f"{where}.kind"),
-            threshold=json_field(data, "threshold", int, None, name=f"{where}.threshold"),
-            initial_target=target,
-            seed=json_field(data, "seed", int, 0, name=f"{where}.seed"),
-        )
-        at = f"{where}.protected."
-        protected = dict(
-            kind=json_field(p, "kind", str, "none", name=at + "kind"),
-            top_frac=json_field(p, "top_frac", float, 0.01, name=at + "top_frac"),
-            band_frac=json_field(p, "band_frac", float, 0.03, name=at + "band_frac"),
-            miss_frac=json_field(p, "miss_frac", float, 0.0, name=at + "miss_frac"),
-        )
-        try:
-            return cls(protected=ProtectedRule(**protected), **fields)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
 
     def with_seed(self, seed: int) -> "StrategySpec":
         return replace(self, seed=seed)

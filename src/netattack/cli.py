@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -70,14 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    import dataclasses
-    import json
-
     config = ExperimentConfig.from_file(args.config)
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     if getattr(args, "epsilon", None) is not None:
-        CrashCriterion(args.epsilon)  # range check up front
         config = dataclasses.replace(config, crash_epsilon=args.epsilon)
     return config
 
@@ -136,31 +133,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .svgplot import Series, render_line_chart
+    from .svgplot import write_chart
 
-    col = "S_mean" if args.column == "S" else "d_mean"
-    series = []
+    col = f"{args.column}_mean"
+    curves = []
     for path in args.curves:
-        points = []
         with open(path, newline="", encoding="utf-8") as fh:
-            filtered = (line for line in fh if not line.startswith("#"))
-            for row in csv.DictReader(filtered):
-                val = row.get(col, "")
-                if val:
-                    points.append((float(row["f"]), float(val)))
-        if points:
-            label = Path(path).name.removesuffix(".curve.csv").removesuffix(".csv")
-            series.append(Series(label, points))
-    if not series:
+            rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+            points = [(float(row["f"]), float(row[col])) for row in rows if row.get(col)]
+        curves.append((Path(path).name.removesuffix(".curve.csv").removesuffix(".csv"), points))
+    if not write_chart(args.out, curves, args.column):
         raise ConfigError(f"no {args.column} data found in the given curve files")
-    y_label = "S" if args.column == "S" else "d"
-    svg = render_line_chart(
-        series,
-        title=f"{y_label} vs fraction removed",
-        x_label="f",
-        y_label=y_label,
-    )
-    Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 

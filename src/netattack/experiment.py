@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from ._version import __version__
-from .attacks import AttackTrace, SnapshotCadence, StrategySpec, json_field, run_attack
+from .attacks import AttackTrace, SnapshotCadence, StrategySpec, run_attack
 from .generators import BaParams, generate_ba, load_edge_list
 from .graph import Graph
 from .metrics import (
@@ -28,7 +29,7 @@ from .metrics import (
     threshold_stats,
     write_curve_csv,
 )
-from .svgplot import Series, render_line_chart
+from .svgplot import write_chart
 
 
 class ConfigError(ValueError):
@@ -42,6 +43,12 @@ class CadencePolicy:
     s_every: int | None = None
     d_every: int | None = None
     d_enabled: bool = True
+
+    def __post_init__(self):
+        for name in ("s_every", "d_every"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def resolve(self, n: int) -> SnapshotCadence:
         base = SnapshotCadence.default_for(n, with_diameter=self.d_enabled)
@@ -82,87 +89,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+        """Read a config object with read_json, but for three keys.
+
+        ``network`` is one of two sources, a relative edge-list path
+        resolving against ``base_dir``; ``snapshot_cadence`` tells a null
+        ``d_every`` from an absent one; ``notes`` is ignored.
+        """
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "network",
-            "strategies",
-            "trials",
-            "base_seed",
-            "crash_epsilon",
-            "budget",
-            "snapshot_cadence",
-            "output_dir",
-            "early_stop",
-            "plots",
-            "notes",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        try:
-            network = cls._parse_network(data.get("network"), base_dir)
-            strategies = tuple(
-                StrategySpec.from_json(s, f"strategies[{i}]")
-                for i, s in enumerate(json_field(data, "strategies", list, []))
-            )
-            cadence = cls._parse_cadence(
-                json_field(data, "snapshot_cadence", dict, None)
-            )
-            return cls(
-                network=network,
-                strategies=strategies,
-                trials=json_field(data, "trials", int, 1),
-                base_seed=json_field(data, "base_seed", int, 0),
-                crash_epsilon=json_field(data, "crash_epsilon", float, 0.01),
-                budget=json_field(data, "budget", float, 1.0),
-                cadence=cadence,
-                output_dir=json_field(data, "output_dir", str, None),
-                early_stop=json_field(data, "early_stop", bool, False),
-                plots=json_field(data, "plots", bool, False),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        data = {k: v for k, v in data.items() if k != "notes"}
+        network = _read_network(data.pop("network", None), base_dir)
+        cadence = data.pop("snapshot_cadence", {})
+        # an explicit null d_every turns d off; an absent one means the default cadence
+        d_enabled = not isinstance(cadence, dict) or cadence.get("d_every", 1) is not None
+        cadence = read_json(CadencePolicy, cadence, "snapshot_cadence", d_enabled=d_enabled)
+        return read_json(cls, data, network=network, cadence=cadence)
 
-    @staticmethod
-    def _parse_network(data, base_dir: Path | None) -> tuple:
-        if not isinstance(data, dict) or len(data) != 1:
-            raise ConfigError("network must be exactly one of {'ba': ...} or {'edge_list': ...}")
-        if "ba" in data:
-            ba = json_field(data, "ba", dict, name="network.ba")
-            extra = set(ba) - {"n", "m"}
-            if extra:
-                raise ConfigError(f"unknown ba keys: {sorted(extra)}")
-            params = BaParams(  # validates n > m >= 1
-                n=json_field(ba, "n", int, name="network.ba.n"),
-                m=json_field(ba, "m", int, name="network.ba.m"),
-            )
-            return ("ba", params.n, params.m)
-        if "edge_list" in data:
-            path = Path(json_field(data, "edge_list", str, name="network.edge_list"))
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return ("edge_list", str(path))
-        raise ConfigError("network must name 'ba' or 'edge_list'")
-
-    @staticmethod
-    def _parse_cadence(data) -> CadencePolicy:
-        if data is None:
-            return CadencePolicy()
-        extra = set(data) - {"s_every", "d_every"}
-        if extra:
-            raise ConfigError(f"unknown snapshot_cadence keys: {sorted(extra)}")
-        s = json_field(data, "s_every", int, None, name="snapshot_cadence.s_every")
-        d = json_field(data, "d_every", int, None, name="snapshot_cadence.d_every")
-        # an explicit null turns d off; an absent key means the default cadence
-        d_enabled = d is not None or "d_every" not in data
-        if s is not None and s < 1:
-            raise ConfigError(f"s_every must be >= 1, got {s}")
-        if d is not None and d < 1:
-            raise ConfigError(f"d_every must be >= 1 or null, got {d}")
-        return CadencePolicy(s_every=s, d_every=d, d_enabled=d_enabled)
+    def to_json(self) -> dict:
+        """The JSON object that from_json reads back to this config."""
+        data = asdict(self)
+        source, *args = self.network
+        data["network"] = (
+            {"ba": {"n": args[0], "m": args[1]}} if source == "ba" else {"edge_list": args[0]}
+        )
+        data["strategies"] = list(data["strategies"])
+        cadence = data.pop("cadence")
+        if not cadence.pop("d_enabled"):
+            cadence["d_every"] = None  # an explicit null turns d off
+        elif cadence["d_every"] is None:
+            del cadence["d_every"]  # an absent d_every means the default cadence
+        data["snapshot_cadence"] = cadence
+        return data
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -174,6 +131,70 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_json(data, base_dir=path.parent)
+
+
+def read_json(cls, data, where: str = "", **given):
+    """Build dataclass ``cls`` from a JSON object, typed by its annotations.
+
+    Each key names a field, and an absent key takes the field's default.
+    ``given`` holds fields the caller has read itself; they are not keys.
+    A bool is never an int, an int passes for a float, null passes only
+    where None is annotated, and nested objects and tuples (JSON lists)
+    of them are read the same way. Every error names its field's path
+    below ``where``.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, got {type(data).__name__}")
+    hints = get_type_hints(cls)
+    keys = [f for f in fields(cls) if f.name not in given]
+    extra = set(data) - {f.name for f in keys}
+    if extra:
+        raise ConfigError(f"unknown {where or 'config'} keys: {sorted(extra)}")
+    values = dict(given)
+    for f in keys:
+        path = f"{where}.{f.name}" if where else f.name
+        if f.name in data:
+            values[f.name] = _read_value(hints[f.name], data[f.name], path)
+        elif f.default is MISSING:
+            raise ConfigError(f"{path} is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _read_value(hint, value, path: str):
+    if is_dataclass(hint):
+        return read_json(hint, value, path)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be of type list, got {value!r}")
+        item = get_args(hint)[0]
+        return tuple(_read_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    for kind in kinds:
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) == (kind is bool) and isinstance(value, accepted):
+            return value
+    names = " or ".join(k.__name__ for k in kinds if k is not type(None))
+    raise ConfigError(f"{path} must be of type {names}, got {value!r}")
+
+
+def _read_network(data, base_dir: Path | None) -> tuple:
+    if not isinstance(data, dict) or len(data) != 1:
+        raise ConfigError("network must be exactly one of {'ba': ...} or {'edge_list': ...}")
+    if "ba" in data:
+        # the graph seed is not configured: each trial sets its own
+        params = read_json(BaParams, data["ba"], "network.ba", seed=0)
+        return ("ba", params.n, params.m)
+    if "edge_list" in data:
+        path = Path(_read_value(str, data["edge_list"], "network.edge_list"))
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        return ("edge_list", str(path))
+    raise ConfigError("network must name 'ba' or 'edge_list'")
 
 
 def materialize_graph(network: tuple, graph_seed: int) -> Graph:
@@ -259,12 +280,11 @@ def run_experiment(
     *,
     threads: int = 1,
     output_dir: str | Path | None = None,
-    config_echo: dict | None = None,
 ) -> dict:
     """Run the grid and write curve CSVs, thresholds CSV, manifest, plots.
 
-    Returns the manifest dict. On any failure partial outputs are
-    deleted before the exception propagates.
+    Returns the manifest dict, which echoes the config as run. On any
+    failure partial outputs are deleted before the exception propagates.
     """
     out = Path(output_dir) if output_dir is not None else None
     if out is None:
@@ -318,34 +338,14 @@ def run_experiment(
         written.append(thresholds_path)
 
         if config.plots:
-            s_series = [
-                Series(label, [(p.f, p.s_mean) for p in pts])
-                for label, pts in all_points.items()
-            ]
-            svg_path = out / "curves_S.svg"
-            svg_path.write_text(
-                render_line_chart(
-                    s_series, title="giant cluster vs fraction removed",
-                    x_label="f", y_label="S",
-                ),
-                encoding="utf-8",
-            )
-            written.append(svg_path)
-            d_series = [
-                Series(label, [(p.f, p.d_mean) for p in pts if p.d_mean is not None])
-                for label, pts in all_points.items()
-            ]
-            d_series = [s for s in d_series if s.points]
-            if d_series:
-                svg_path = out / "curves_d.svg"
-                svg_path.write_text(
-                    render_line_chart(
-                        d_series, title="cluster diameter vs fraction removed",
-                        x_label="f", y_label="d",
-                    ),
-                    encoding="utf-8",
-                )
-                written.append(svg_path)
+            for y_label, attr in (("S", "s_mean"), ("d", "d_mean")):
+                curves = [
+                    (label, [(p.f, v) for p in pts if (v := getattr(p, attr)) is not None])
+                    for label, pts in all_points.items()
+                ]
+                svg_path = out / f"curves_{y_label}.svg"
+                if write_chart(svg_path, curves, y_label):
+                    written.append(svg_path)
 
         manifest = {
             "engine": "netattack",
@@ -354,7 +354,7 @@ def run_experiment(
             "threads": threads,
             "crash_epsilon": config.crash_epsilon,
             "budget": config.budget,
-            "config": config_echo,
+            "config": config.to_json(),
             "trials": trial_rows,
             "thresholds": [
                 {"strategy": label, "mean": mean, "std": std, "n": count}

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 _PALETTE = (
     "#1f77b4",
@@ -139,3 +140,21 @@ def render_line_chart(
         out.append(f'<text x="{lx + 28}" y="{ly}">{s.label}</text>')
     out.append("</svg>")
     return "\n".join(out)
+
+
+def write_chart(
+    path: str | Path,
+    curves: Iterable[tuple[str, Sequence[tuple[float, float]]]],
+    y_label: str,
+) -> bool:
+    """Chart labelled (f, value) curves at ``path``, dropping empty ones.
+
+    Returns whether anything was drawn; nothing is written otherwise.
+    """
+    series = [Series(label, points) for label, points in curves if points]
+    if series:
+        svg = render_line_chart(
+            series, title=f"{y_label} vs fraction removed", x_label="f", y_label=y_label
+        )
+        Path(path).write_text(svg, encoding="utf-8")
+    return bool(series)

@@ -1,8 +1,12 @@
 import heapq
+import json
 import math
 import random
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from netattack import (
@@ -18,6 +22,9 @@ from netattack import (
     run_attack,
 )
 from netattack.attacks import (
+    DISTRIBUTED_KINDS,
+    PROTECTED_KINDS,
+    STRATEGY_KINDS,
     STOP_BUDGET_EXHAUSTED,
     STOP_GRAPH_EXHAUSTED,
     STOP_NETWORK_CRASHED,
@@ -27,6 +34,7 @@ from netattack.attacks import (
     select_intentional,
     step_lower_bounded,
 )
+from netattack.experiment import read_json
 
 
 def degree_heap(g, nodes):
@@ -102,6 +110,23 @@ class TestProtectedRule:
         assert a != c
 
 
+@st.composite
+def strategy_specs(draw) -> StrategySpec:
+    """Any valid spec: every kind, and every protected rule on intentional."""
+    kind = draw(st.sampled_from(STRATEGY_KINDS))
+    protected = ProtectedRule()
+    if kind == "intentional":
+        rule = draw(st.sampled_from(PROTECTED_KINDS))
+        fracs = [draw(st.floats(0.0, 1.0)) for _ in range(2)]
+        miss = draw(st.floats(0.0, 1.0, exclude_min=rule == "miss_medium_band"))
+        protected = ProtectedRule(rule, *fracs, miss)
+    threshold = draw(st.integers(0, 100)) if kind == "lower_bounded_parallel" else None
+    target = "random_live"
+    if kind in DISTRIBUTED_KINDS:
+        target = draw(st.sampled_from(("random_live", "max_degree")) | st.integers(0, 10**6))
+    return StrategySpec(kind, protected, threshold, target, draw(st.integers(-(2**40), 2**40)))
+
+
 class TestStrategySpec:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -146,25 +171,23 @@ class TestStrategySpec:
         )
         assert StrategySpec("greedy_sequential").label == "greedy_sequential"
 
-    def test_json_round_trip(self):
-        spec = StrategySpec(
-            "intentional",
-            protected=ProtectedRule("miss_medium_band", miss_frac=0.1),
-            seed=5,
-        )
-        assert StrategySpec.from_json(spec.to_json()) == spec
-        lbp = StrategySpec("lower_bounded_parallel", threshold=6, initial_target=3)
-        assert StrategySpec.from_json(lbp.to_json()) == lbp
+    @settings(max_examples=300, deadline=None)
+    @given(strategy_specs())
+    def test_json_round_trip(self, spec):
+        data = json.loads(json.dumps(asdict(spec)))
+        assert read_json(StrategySpec, data, "strategy") == spec
 
     def test_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown strategy keys"):
-            StrategySpec.from_json({"kind": "intentional", "bogus": 1})
-        with pytest.raises(ValueError, match="unknown protected keys"):
-            StrategySpec.from_json(
-                {"kind": "intentional", "protected": {"kind": "miss_biggest_hub", "x": 2}}
+            read_json(StrategySpec, {"kind": "intentional", "bogus": 1}, "strategy")
+        with pytest.raises(ValueError, match="unknown strategy.protected keys"):
+            read_json(
+                StrategySpec,
+                {"kind": "intentional", "protected": {"kind": "miss_biggest_hub", "x": 2}},
+                "strategy",
             )
-        with pytest.raises(ValueError, match="needs a 'kind'"):
-            StrategySpec.from_json({})
+        with pytest.raises(ValueError, match="strategy.kind is required"):
+            read_json(StrategySpec, {}, "strategy")
 
 
 class TestSnapshotCadence:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from netattack import (
     BaParams,
     CrashCriterion,
+    ExperimentConfig,
     StrategySpec,
     generate_ba,
     load_edge_list,
@@ -122,6 +124,19 @@ class TestSweepAndReport:
         assert manifest["threads"] == 2
         assert len(manifest["trials"]) == 4
 
+    def test_manifest_echoes_effective_config(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 60, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            snapshot_cadence={"s_every": 5, "d_every": None},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["sweep", "--config", cfg, "--seed", "7"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        expect = dataclasses.replace(ExperimentConfig.from_file(cfg), base_seed=7)
+        assert ExperimentConfig.from_json(manifest["config"]) == expect
+
     def test_report_builds_svg(self, swept, capsys):
         out = swept / "out"
         svg = swept / "chart.svg"
@@ -181,6 +196,31 @@ class TestErrorPaths:
         rc = main(["sweep", "--config", cfg, "--threads", "0"])
         assert rc == 1
 
+    def test_bad_epsilon_names_crash_epsilon(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(tmp_path / "out"),
+        )
+        rc = main(["sweep", "--config", cfg, "--epsilon", "2"])
+        assert rc == 1
+        assert "error: crash_epsilon " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_worker_leaves_no_outputs(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "coordinated", "initial_target": 50}],
+            trials=2,
+            output_dir=str(tmp_path / "out"),
+        )
+        rc = main(["sweep", "--config", cfg, "--threads", "2"])
+        assert rc == 1
+        assert "initial_target 50" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "change,field",
         [
@@ -219,6 +259,8 @@ class TestErrorPaths:
                 "strategies[1]:",
                 id="strategy1-kind",
             ),
+            # a bool is never an int
+            pytest.param({"base_seed": True}, "base_seed", id="bool-base_seed"),
         ],
     )
     def test_malformed_config_exit_1_names_field(self, tmp_path, capsys, change, field):

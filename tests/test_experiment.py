@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from netattack import (
@@ -12,6 +14,7 @@ from netattack import (
     ConfigError,
     CrashCriterion,
     ExperimentConfig,
+    ProtectedRule,
     SnapshotCadence,
     StrategySpec,
     build_graph,
@@ -74,7 +77,55 @@ class TestConfigValidation:
             small_config(crash_epsilon=0.0)
 
 
+@st.composite
+def experiment_configs(draw) -> ExperimentConfig:
+    """Valid configs over both network sources and all three cadence states."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 20))
+        network = ("ba", draw(st.integers(m + 1, 10**6)), m)
+    else:
+        network = ("edge_list", str(Path(draw(st.text("ab/._-", min_size=1)))))
+    s_every = draw(st.none() | st.integers(1, 10**4))
+    cadence = draw(
+        st.sampled_from(
+            [
+                CadencePolicy(s_every),  # d_every absent: the default cadence
+                CadencePolicy(s_every, d_every=draw(st.integers(1, 10**4))),
+                CadencePolicy(s_every, d_enabled=False),  # d_every null: no d
+            ]
+        )
+    )
+    specs = (
+        StrategySpec("intentional"),
+        StrategySpec("intentional", protected=ProtectedRule("miss_biggest_hub")),
+        StrategySpec("random_failure", seed=3),
+        StrategySpec("coordinated", initial_target=7),
+        StrategySpec("lower_bounded_parallel", threshold=4, initial_target="max_degree"),
+    )
+    return ExperimentConfig(
+        network=network,
+        strategies=tuple(draw(st.lists(st.sampled_from(specs), min_size=1, unique=True))),
+        trials=draw(st.integers(1, 100)),
+        base_seed=draw(st.integers(-(2**40), 2**40)),
+        crash_epsilon=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        budget=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        cadence=cadence,
+        output_dir=draw(st.none() | st.text(max_size=10)),
+        early_stop=draw(st.booleans()),
+        plots=draw(st.booleans()),
+    )
+
+
 class TestConfigJson:
+    @settings(max_examples=300, deadline=None)
+    @given(experiment_configs())
+    def test_json_round_trip(self, cfg):
+        assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+
+    def test_disabled_d_is_written_as_null(self):
+        cfg = small_config(cadence=CadencePolicy(d_every=5, d_enabled=False))
+        assert cfg.to_json()["snapshot_cadence"]["d_every"] is None
+
     def test_happy_path(self, tmp_path):
         data = {
             "network": {"ba": {"n": 200, "m": 2}},
@@ -100,7 +151,7 @@ class TestConfigJson:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_json({"network": {"ba": {"n": 5, "m": 1}}, "oops": 1})
-        with pytest.raises(ConfigError, match="unknown ba keys"):
+        with pytest.raises(ConfigError, match="unknown network.ba keys"):
             ExperimentConfig.from_json(
                 {"network": {"ba": {"n": 5, "m": 1, "p": 2}}, "strategies": [{"kind": "intentional"}]}
             )
@@ -326,7 +377,7 @@ class TestSharedIntactD:
 class TestRunExperiment:
     def test_outputs_and_manifest(self, tmp_path):
         cfg = small_config(output_dir=str(tmp_path / "run"))
-        manifest = run_experiment(cfg, config_echo={"hello": 1})
+        manifest = run_experiment(cfg)
         out = tmp_path / "run"
         assert (out / "intentional.curve.csv").is_file()
         assert (out / "lower_bounded_parallel_t3.curve.csv").is_file()
@@ -334,7 +385,7 @@ class TestRunExperiment:
         disk = json.loads((out / "manifest.json").read_text())
         assert disk == manifest
         assert manifest["engine"] == "netattack"
-        assert manifest["config"] == {"hello": 1}
+        assert ExperimentConfig.from_json(manifest["config"]) == cfg
         assert len(manifest["trials"]) == 4
         row = manifest["trials"][0]
         assert row["graph_seed"] == 5 and row["attack_seed"] == 5
