@@ -170,12 +170,12 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
     """
     if rule.kind == "none":
         return frozenset()
-    degree = [len(nbrs) for nbrs in g.adjacency]
-    if rule.kind == "miss_biggest_hub":
-        top = max(range(g.node_count), key=lambda v: (degree[v], -v))
-        return frozenset((top,))
     n = g.node_count
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    degree = [len(nbrs) for nbrs in g.adjacency]
+    # stable, so equal degrees keep ascending id order
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)
+    if rule.kind == "miss_biggest_hub":
+        return frozenset(order[:1])
     top_n = math.ceil(rule.top_frac * n)
     # floor at the band stage: a fractional tail node stays out of the band
     band_n = math.floor(rule.band_frac * n)
@@ -187,27 +187,30 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
 
 
 def _heap_max(g: Graph, heap: list[tuple[int, int]]) -> int | None:
-    """Top live entry of a lazy ``(-live_degree, id)`` heap, or None.
+    """Top live entry of a lazy ``(-degree, id)`` heap, or None.
 
-    Entries of crashed nodes and entries whose degree has since fallen
-    are dropped on the way; the returned entry stays on the heap.
+    Live degrees only fall, so each key bounds its node's degree from
+    above: a stale top is re-keyed in place, an exact one is the maximum
+    (smallest id on ties) and stays on the heap. Crashed entries are dropped.
     """
     alive = g.alive
     degree = g.live_degree
     while heap:
         key, v = heap[0]
-        if alive[v] and -key == degree[v]:
+        if not alive[v]:
+            heapq.heappop(heap)
+        elif -key == degree[v]:
             return v
-        heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (-degree[v], v))
     return None
 
 
 def select_intentional(g: Graph, heap: list[tuple[int, int]]) -> int | None:
     """Highest current-degree live node outside the protected set.
 
-    ``heap`` holds every unprotected node, pushed again whenever its
-    degree falls, so its top live entry is the target; ties go to the
-    smallest id.
+    ``heap`` holds every unprotected live node once, so its top is the
+    target; ties go to the smallest id.
     """
     return _heap_max(g, heap)
 
@@ -236,10 +239,9 @@ def select_greedy_sequential(
 def select_coordinated(g: Graph, heap: list[tuple[int, int]], rng: random.Random) -> int | None:
     """Best live node on the crashed set's boundary, else a random restart.
 
-    ``heap`` holds a node from the moment it first neighbors a crashed
-    node, pushed again whenever its degree falls, so its live entries are
-    exactly the frontier; max-degree with smallest id on ties is the heap
-    order itself.
+    ``heap`` gains a node once, when it first neighbors a crashed node,
+    so its live entries are exactly the frontier; :func:`_heap_max`
+    picks max degree with the smallest id on ties.
     """
     v = _heap_max(g, heap)
     return v if v is not None else g.random_live_node(rng)
@@ -337,13 +339,14 @@ def _removal_order(
 
     removals: list[tuple[int, tuple[int, ...]]] = []
     removed = 0
-    # lazy max-heap of (-live_degree, id) for the two degree-driven kinds:
+    # lazy max-heap of (-degree, id) for the two degree-driven kinds:
     # intentional starts from every unprotected node, coordinated from none
+    # and pushes a node once, when it first joins the frontier
     heap: list[tuple[int, int]] = []
     if spec.kind == "intentional":
         heap = [(-d, v) for v, d in enumerate(g.live_degree) if v not in protected]
         heapq.heapify(heap)
-    uses_heap = spec.kind in ("intentional", "coordinated")
+    queued = bytearray(n) if spec.kind == "coordinated" else None
     batch: list[int] = []  # the batch crashed last, until the next pick
 
     def pick_batch() -> list[int]:
@@ -372,13 +375,13 @@ def _removal_order(
             g.crash_node(v)
         removed += len(batch)
         removals.append((len(removals) + 1, tuple(batch)))
-        if uses_heap:
-            # a degree falls only when a neighbor crashes, which is also
-            # when a node joins the frontier: one push keeps both heaps right
-            for v in batch:
-                for u in g.adjacency[v]:
-                    if alive[u] and u not in protected:
-                        heapq.heappush(heap, (-degree[u], u))
+        if heap:  # a non-empty heap supplied the pick, as its top
+            heapq.heappop(heap)
+        if queued is not None:
+            for u in g.adjacency[batch[0]]:
+                if alive[u] and not queued[u]:
+                    queued[u] = 1
+                    heapq.heappush(heap, (-degree[u], u))
         if g.live_count == 0:
             return removals, STOP_GRAPH_EXHAUSTED
         if removed / n >= budget:

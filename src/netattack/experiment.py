@@ -350,10 +350,7 @@ def run_experiment(
         manifest = {
             "engine": "netattack",
             "version": __version__,
-            "base_seed": config.base_seed,
             "threads": threads,
-            "crash_epsilon": config.crash_epsilon,
-            "budget": config.budget,
             "config": config.to_json(),
             "trials": trial_rows,
             "thresholds": [

@@ -163,7 +163,7 @@ def measure(
     )
 
     rows = []
-    replay = g.copy()
+    replay = g.copy() if with_d else None  # only d rows replay the order
     applied = 0
     for step, due_d in marks:
         d = None

@@ -16,6 +16,7 @@ from netattack import (
     ProtectedRule,
     SnapshotCadence,
     StrategySpec,
+    attacks,
     build_graph,
     build_protected_set,
     generate_ba,
@@ -100,6 +101,17 @@ class TestProtectedRule:
         again = build_protected_set(g, rule, random.Random(2))
         assert again == got
 
+    def test_band_cut_orders_ties_by_id(self):
+        g = build_graph(200, oracles.random_edges(random.Random(6), 200, 0.05))
+        degree = [len(a) for a in g.adjacency]
+        assert len(set(degree)) < 30  # many equal degrees around every cut
+        order = sorted(range(200), key=lambda v: (-degree[v], v))
+        for top_frac, band_frac in [(0.01, 0.03), (0.05, 0.2), (0.13, 0.37), (0.0, 0.5)]:
+            rule = ProtectedRule("miss_medium_band", top_frac, band_frac, miss_frac=1.0)
+            top_n = math.ceil(top_frac * 200)
+            band = order[top_n : top_n + math.floor(band_frac * 200)]
+            assert build_protected_set(g, rule, random.Random(0)) == frozenset(band)
+
     def test_sampling_uses_given_rng(self):
         g = generate_ba(BaParams(500, 2, seed=0))
         rule = ProtectedRule("miss_medium_band", miss_frac=0.4)
@@ -125,6 +137,26 @@ def strategy_specs(draw) -> StrategySpec:
     if kind in DISTRIBUTED_KINDS:
         target = draw(st.sampled_from(("random_live", "max_degree")) | st.integers(0, 10**6))
     return StrategySpec(kind, protected, threshold, target, draw(st.integers(-(2**40), 2**40)))
+
+
+@st.composite
+def attack_cases(draw) -> tuple[Graph, StrategySpec]:
+    """A small sparse graph, often with isolated nodes, and any strategy on it."""
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    kind = draw(st.sampled_from(STRATEGY_KINDS))
+    protected = ProtectedRule()
+    if kind == "intentional":
+        rule = draw(st.sampled_from(PROTECTED_KINDS))
+        miss = draw(st.floats(0.1, 1.0)) if rule == "miss_medium_band" else 0.0
+        protected = ProtectedRule(rule, top_frac=0.1, band_frac=0.5, miss_frac=miss)
+    threshold = draw(st.integers(0, 3)) if kind == "lower_bounded_parallel" else None
+    target = "random_live"
+    if kind in DISTRIBUTED_KINDS:
+        target = draw(st.sampled_from(("random_live", "max_degree")))
+    spec = StrategySpec(kind, protected, threshold, target, draw(st.integers(0, 2**32)))
+    return build_graph(n, edges), spec
 
 
 class TestStrategySpec:
@@ -216,17 +248,15 @@ class TestSelectors:
         assert select_intentional(g, degree_heap(g, (1, 2, 3))) == 1
         assert select_intentional(g, degree_heap(g, (3, 2))) == 2
 
-    def test_intentional_drops_stale_entries(self):
+    def test_intentional_rekeys_stale_entries(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
         heap = degree_heap(g, range(5))
         g.crash_node(1)
-        # 1 is dead and 0 and 2 lost a link; only 3's entry is still exact
-        assert select_intentional(g, heap) == 3
-        assert heap[0] == (-1, 3)
-        # the push run_attack makes after a crash restores 2's entry
-        for u in (0, 2, 4):
-            heapq.heappush(heap, (-g.live_degree[u], u))
+        # no push after the crash: 1's entry is dead and 0, 2 and 4 hold
+        # stale keys; 2 and 3 both have degree 1 now and the smaller id wins
         assert select_intentional(g, heap) == 2
+        assert heap[0] == (-1, 2)
+        assert sorted(v for _, v in heap) == [0, 2, 3, 4]
 
     def test_intentional_none_when_everything_protected_or_dead(self):
         g = build_graph(2, [(0, 1)])
@@ -409,56 +439,107 @@ class TestRunAttack:
         trace = run_attack(g, spec, budget=0.05)
         assert trace.removals[0][1] == (hub,)
 
-    def test_fuzz_degree_selection_against_oracles(self):
-        """Replay each trace and recheck every pick from scratch."""
-        rng = random.Random(13)
-        band = ProtectedRule("miss_medium_band", top_frac=0.05, band_frac=0.3, miss_frac=0.5)
-        specs = [
+    @settings(max_examples=400, deadline=None)
+    @given(attack_cases())
+    def test_fuzz_degree_selection_against_oracles(self, case):
+        """Replay a full-budget trace and recheck every pick from scratch."""
+        g, spec = case
+        n = g.node_count
+        adjacency = g.adjacency
+        protected = build_protected_set(g, spec.protected, random.Random(spec.seed))
+        trace = run_attack(g, spec, cadence=SnapshotCadence(s_every=n))
+        alive = [True] * n
+
+        def best(candidates):
+            """Highest live degree among candidates, smallest id on ties."""
+            return oracles.max_live_degree(adjacency, alive, set(range(n)) - set(candidates))
+
+        def frontier():
+            return {u for v in range(n) if not alive[v] for u in adjacency[v] if alive[u]}
+
+        def qualifiers():
+            return sorted(v for v in frontier() if len(adjacency[v]) > spec.threshold)
+
+        for i, (_, batch) in enumerate(trace.removals):
+            if spec.kind == "intentional":
+                assert batch == (best(set(range(n)) - protected),)
+            elif i == 0 and spec.initial_target == "max_degree":
+                assert batch == (best(range(n)),)
+            elif spec.kind == "lower_bounded_parallel" and i > 0:
+                # every qualifying frontier node, not just some of them
+                assert list(batch) == qualifiers()
+            else:
+                pool = []  # empty: a random draw, jump or restart takes any live node
+                if i > 0 and spec.kind == "greedy_sequential":
+                    pool = [u for u in adjacency[trace.removals[i - 1][1][-1]] if alive[u]]
+                elif i > 0 and spec.kind == "coordinated":
+                    pool = frontier()
+                if pool:
+                    assert batch == (best(pool),)
+                else:
+                    assert len(batch) == 1 and alive[batch[0]]
+            for v in batch:
+                alive[v] = False
+        if trace.stop_reason == STOP_STRATEGY_STALLED:
+            if spec.kind == "intentional":
+                assert best(set(range(n)) - protected) is None
+            else:
+                assert spec.kind == "lower_bounded_parallel"
+                assert qualifiers() == []
+        else:
+            assert trace.stop_reason == STOP_GRAPH_EXHAUSTED
+            assert trace.removed_count == n
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
             StrategySpec("intentional"),
             StrategySpec("intentional", protected=ProtectedRule("miss_biggest_hub")),
-            StrategySpec("intentional", protected=band),
-            StrategySpec("coordinated"),
-            StrategySpec("lower_bounded_parallel", threshold=2),
-        ]
-        for trial in range(60):
-            n = rng.randrange(5, 60)
-            g = build_graph(n, oracles.random_edges(rng, n, rng.choice([0.04, 0.15])))
-            spec = specs[trial % len(specs)].with_seed(trial)
-            protected = build_protected_set(g, spec.protected, random.Random(spec.seed))
-            trace = run_attack(g, spec, cadence=SnapshotCadence(s_every=n))
-            adjacency = g.adjacency
-            alive = [True] * n
+            StrategySpec(
+                "intentional",
+                protected=ProtectedRule("miss_medium_band", top_frac=0.05, miss_frac=0.5),
+            ),
+            StrategySpec("coordinated", seed=3),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_heap_holds_each_node_once(self, monkeypatch, spec):
+        """At every pick the heap holds each eligible node once, keyed from above."""
+        picks = []
 
-            def frontier():
-                return {
-                    u for v in range(n) if not alive[v] for u in adjacency[v] if alive[u]
-                }
-
-            def qualifiers():
-                return sorted(v for v in frontier() if len(adjacency[v]) > 2)
-
-            for i, (_, batch) in enumerate(trace.removals):
+        def checked(select):
+            def wrapper(g, heap, *rest):
+                ids = [v for _, v in heap]
+                assert len(ids) == len(set(ids))
+                assert all(-key >= g.live_degree[v] for key, v in heap)
                 if spec.kind == "intentional":
-                    want = oracles.max_live_degree(adjacency, alive, protected)
-                    assert batch == (want,)
-                elif spec.kind == "coordinated":
-                    edge = frontier()
-                    if edge:
-                        outside = set(range(n)) - edge
-                        assert batch == (oracles.max_live_degree(adjacency, alive, outside),)
-                    else:
-                        assert len(batch) == 1 and alive[batch[0]]
-                elif i > 0:
-                    # every qualifying frontier node, not just some of them
-                    assert list(batch) == qualifiers()
-                for v in batch:
-                    alive[v] = False
-            if trace.stop_reason == STOP_STRATEGY_STALLED:
-                if spec.kind == "intentional":
-                    assert oracles.max_live_degree(adjacency, alive, protected) is None
+                    # n - |protected| - removed: protected nodes never fall
+                    eligible = {v for v in range(g.node_count) if g.alive[v]} - protected
                 else:
-                    assert spec.kind == "lower_bounded_parallel"
-                    assert qualifiers() == []
+                    eligible = {
+                        u
+                        for v in range(g.node_count)
+                        if not g.alive[v]
+                        for u in g.adjacency[v]
+                        if g.alive[u]
+                    }
+                assert set(ids) == eligible
+                picks.append(select(g, heap, *rest))
+                return picks[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(attacks, "select_intentional", checked(select_intentional))
+        monkeypatch.setattr(attacks, "select_coordinated", checked(select_coordinated))
+        sparse = oracles.random_edges(random.Random(5), 200, 0.012)
+        for g in (generate_ba(BaParams(300, 2, seed=10)), build_graph(200, sparse)):
+            protected = build_protected_set(g, spec.protected, random.Random(spec.seed))
+            picks.clear()
+            trace = run_attack(g, spec)
+            order = [v for _, batch in trace.removals for v in batch]
+            # every pick but coordinated's initial target went through a check
+            skip = spec.kind == "coordinated"
+            assert [v for v in picks if v is not None] == order[skip:]
 
     def test_fuzz_engine_invariants(self):
         rng = random.Random(11)

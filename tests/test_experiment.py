@@ -386,6 +386,8 @@ class TestRunExperiment:
         assert disk == manifest
         assert manifest["engine"] == "netattack"
         assert ExperimentConfig.from_json(manifest["config"]) == cfg
+        # run-wide settings live in the config echo only
+        assert not {"base_seed", "crash_epsilon", "budget"} & manifest.keys()
         assert len(manifest["trials"]) == 4
         row = manifest["trials"][0]
         assert row["graph_seed"] == 5 and row["attack_seed"] == 5

@@ -9,6 +9,7 @@ from netattack import (
     AttackTrace,
     CrashCriterion,
     CurvePoint,
+    Graph,
     MetricsRow,
     SnapshotCadence,
     build_graph,
@@ -70,12 +71,17 @@ class TestSnapshot:
         g.crash_node(3)
         assert snapshot(g) == r.cluster_diameter
 
-    def test_diameter_opt_out_and_tiny_cluster(self):
+    def test_diameter_opt_out_and_tiny_cluster(self, monkeypatch):
+        copies = []
+        copy = Graph.copy
+        monkeypatch.setattr(Graph, "copy", lambda g: copies.append(g) or copy(g))
         g = build_graph(2, [(0, 1)])
         no_d = SnapshotCadence(s_every=1, d_every=None)
         rows, _, _ = measure(g, [(1, (1,))], no_d, CrashCriterion(), False)
         assert [r.cluster_diameter for r in rows] == [None, None]
+        assert copies == []  # only a d replay needs its own crash state
         rows, _, _ = measure(g, [(1, (1,))], SnapshotCadence(1, 1), CrashCriterion(), False)
+        assert copies == [g]
         assert rows[0].cluster_diameter == 1.0
         assert rows[1].cluster_diameter is None
         g.crash_node(1)
