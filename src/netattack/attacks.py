@@ -131,10 +131,8 @@ class SnapshotCadence:
             raise ValueError(f"d_every must be >= 1 or None, got {self.d_every}")
 
     @classmethod
-    def default_for(cls, n: int, with_diameter: bool = True) -> "SnapshotCadence":
-        s = max(1, math.ceil(n / 200))
-        d = max(1, math.ceil(n / 50)) if with_diameter else None
-        return cls(s_every=s, d_every=d)
+    def default_for(cls, n: int) -> "SnapshotCadence":
+        return cls(s_every=max(1, math.ceil(n / 200)), d_every=max(1, math.ceil(n / 50)))
 
 
 @dataclass

@@ -12,6 +12,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from enum import Enum
 from itertools import repeat
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -36,26 +37,36 @@ class ConfigError(ValueError):
     """Configuration is unusable (bad schema, bad values, missing source)."""
 
 
+class _Default(Enum):
+    D_EVERY = "default"
+
+
+DEFAULT_D_EVERY = _Default.D_EVERY
+
+
 @dataclass(frozen=True)
 class CadencePolicy:
-    """Cadence as configured; concrete values resolve per graph size."""
+    """Cadence as configured; concrete values resolve per graph size.
+
+    ``d_every`` has three states: an int fixes it, None (JSON null) turns
+    d off, and ``DEFAULT_D_EVERY`` takes the default, as ``s_every`` None
+    does. Only an absent key reads as ``DEFAULT_D_EVERY``; no JSON value
+    does, and ``to_json`` writes it by leaving the key out.
+    """
 
     s_every: int | None = None
-    d_every: int | None = None
-    d_enabled: bool = True
+    d_every: int | None | _Default = DEFAULT_D_EVERY
 
     def __post_init__(self):
         for name in ("s_every", "d_every"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is not None and value is not DEFAULT_D_EVERY and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
     def resolve(self, n: int) -> SnapshotCadence:
-        base = SnapshotCadence.default_for(n, with_diameter=self.d_enabled)
-        s = self.s_every if self.s_every is not None else base.s_every
-        d = None
-        if self.d_enabled:
-            d = self.d_every if self.d_every is not None else base.d_every
+        base = SnapshotCadence.default_for(n)
+        s = base.s_every if self.s_every is None else self.s_every
+        d = base.d_every if self.d_every is DEFAULT_D_EVERY else self.d_every
         return SnapshotCadence(s_every=s, d_every=d)
 
 
@@ -92,17 +103,14 @@ class ExperimentConfig:
         """Read a config object with read_json, but for three keys.
 
         ``network`` is one of two sources, a relative edge-list path
-        resolving against ``base_dir``; ``snapshot_cadence`` tells a null
-        ``d_every`` from an absent one; ``notes`` is ignored.
+        resolving against ``base_dir``; ``snapshot_cadence`` is the
+        ``cadence`` field; ``notes`` is ignored.
         """
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         data = {k: v for k, v in data.items() if k != "notes"}
         network = _read_network(data.pop("network", None), base_dir)
-        cadence = data.pop("snapshot_cadence", {})
-        # an explicit null d_every turns d off; an absent one means the default cadence
-        d_enabled = not isinstance(cadence, dict) or cadence.get("d_every", 1) is not None
-        cadence = read_json(CadencePolicy, cadence, "snapshot_cadence", d_enabled=d_enabled)
+        cadence = read_json(CadencePolicy, data.pop("snapshot_cadence", {}), "snapshot_cadence")
         return read_json(cls, data, network=network, cadence=cadence)
 
     def to_json(self) -> dict:
@@ -114,10 +122,8 @@ class ExperimentConfig:
         )
         data["strategies"] = list(data["strategies"])
         cadence = data.pop("cadence")
-        if not cadence.pop("d_enabled"):
-            cadence["d_every"] = None  # an explicit null turns d off
-        elif cadence["d_every"] is None:
-            del cadence["d_every"]  # an absent d_every means the default cadence
+        if cadence["d_every"] is DEFAULT_D_EVERY:
+            del cadence["d_every"]
         data["snapshot_cadence"] = cadence
         return data
 
@@ -178,7 +184,8 @@ def _read_value(hint, value, path: str):
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) == (kind is bool) and isinstance(value, accepted):
             return value
-    names = " or ".join(k.__name__ for k in kinds if k is not type(None))
+    # no JSON value reads as the cadence default, so it goes unnamed
+    names = " or ".join(k.__name__ for k in kinds if k not in (type(None), _Default))
     raise ConfigError(f"{path} must be of type {names}, got {value!r}")
 
 

@@ -2,10 +2,11 @@
 
 The attack simulations never delete edges from the adjacency structure.
 A node is removed by flipping its live flag; the adjacency built at
-construction time stays immutable so that traces can be replayed and
-graphs can be copied cheaply. Live degrees are maintained incrementally,
-so a crash costs O(degree) and a live-degree read O(1); choosing the
-highest-degree target is left to the attack loop.
+construction time stays immutable, so graphs can be copied cheaply and
+observables can be read off a removal order against it. Live degrees
+are maintained incrementally, so a crash costs O(degree) and a
+live-degree read O(1); choosing the highest-degree target is left to
+the attack loop.
 """
 
 from __future__ import annotations
@@ -117,106 +118,59 @@ class Graph:
             if alive[u]:
                 degree[u] -= 1
 
-    # -- connectivity ----------------------------------------------------------
-
-    def largest_cluster(self) -> list[int]:
-        """Members of the biggest connected cluster of live nodes.
-
-        One sweep over the live nodes. Scanning seeds in ascending id
-        order and replacing the best only on strictly larger size makes
-        the size tie break to the cluster containing the smallest id.
-        Empty when no node is live.
-        """
-        alive = self.alive
-        adjacency = self.adjacency
-        seen = bytearray(self.node_count)
-        best: list[int] = []
-        for s in range(self.node_count):
-            if not alive[s] or seen[s]:
-                continue
-            comp = [s]
-            seen[s] = 1
-            i = 0
-            while i < len(comp):
-                v = comp[i]
-                i += 1
-                for u in adjacency[v]:
-                    if alive[u] and not seen[u]:
-                        seen[u] = 1
-                        comp.append(u)
-            if len(comp) > len(best):
-                best = comp
-        return best
-
     # -- distances ----------------------------------------------------------------
 
-    def avg_shortest_path(self, members: Iterable[int]) -> float | None:
-        """Mean hop count over unordered member pairs, through live paths.
+    def avg_shortest_path(self, members: Iterable[int], live: Sequence) -> float | None:
+        """Mean hop count over the member pairs of one whole live cluster.
 
-        Returns None for fewer than two members. Raises ValueError if the
-        members do not sit in one live connected component. Intended for
-        the member set reported by largest_cluster.
+        ``members`` must be exactly one connected cluster of the nodes
+        that ``live`` flags, or ValueError is raised. None for fewer than
+        two members.
         """
         ids = sorted(members)
         for v in ids:
             self._check_id(v)
-            if not self.alive[v]:
+            if not live[v]:
                 raise ValueError(f"member {v} is crashed")
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate member ids")
         if len(ids) < 2:
             return None
         k = len(ids)
-        return self._pair_distance_sum(ids) / (k * (k - 1))
+        return self._pair_distance_sum(ids, live) / (k * (k - 1))
 
-    def _pair_distance_sum(self, ids: list[int]) -> int:
-        """Ordered-pair hop total over members, by bit-parallel BFS.
+    def _pair_distance_sum(self, ids: list[int], live: Sequence) -> int:
+        """Ordered-pair hop total over a whole cluster, by bit-parallel BFS.
 
         Multi-source BFS (Then et al., VLDB 2014): each member is a BFS
         source with its own bit, 64 sources to a uint64 word, and one
         level of all their searches is a gather and an OR-reduce over the
-        CSR rows of the members' live component. The searches span the
-        whole component, so shortest paths through live non-members count.
+        members' CSR rows. A live neighbour outside the members, a member
+        with no live neighbour, or a search that misses a member raises
+        ValueError.
         """
         import numpy as np
 
-        alive = self.alive
         adjacency = self.adjacency
-        # local ids: members first, then the live non-members of their component
         local = [-1] * self.node_count
         for i, v in enumerate(ids):
             local[v] = i
-        nodes = list(ids)
-        seen = bytearray(self.node_count)
-        seen[ids[0]] = 1
-        comp = [ids[0]]
-        i = 0
-        while i < len(comp):
-            v = comp[i]
-            i += 1
-            for u in adjacency[v]:
-                if alive[u] and not seen[u]:
-                    seen[u] = 1
-                    comp.append(u)
-                    if local[u] < 0:
-                        local[u] = len(nodes)
-                        nodes.append(u)
-        if len(comp) != len(nodes):
-            raise ValueError("members span more than one live component")
         indptr = [0]
         indices: list[int] = []
-        for v in nodes:
-            indices.extend(local[u] for u in adjacency[v] if alive[u])
+        for v in ids:
+            indices.extend(local[u] for u in adjacency[v] if live[u])
             indptr.append(len(indices))
-
-        k = len(ids)
+        indptr = np.array(indptr, dtype=np.intp)
         indices = np.array(indices, dtype=np.intp)
-        # no row is empty (the component has two or more nodes), as reduceat needs
-        starts = np.array(indptr[:-1], dtype=np.intp)
+        # reduceat needs every row non-empty, and local id -1 is a non-member
+        if (indptr[1:] == indptr[:-1]).any() or indices.min() < 0:
+            raise ValueError("members are not one whole live cluster")
+        k = len(ids)
+        starts = indptr[:-1]
         total = 0
         for lo in range(0, k, 64 * _CHUNK_WORDS):
             bit = np.arange(min(k - lo, 64 * _CHUNK_WORDS), dtype=np.uint64)
-            frontier = np.zeros((len(nodes), (len(bit) + 63) // 64), dtype=np.uint64)
+            frontier = np.zeros((k, (len(bit) + 63) // 64), dtype=np.uint64)
             frontier[lo + bit, bit >> 6] = np.uint64(1) << (bit & 63)
             unseen = ~frontier
             gathered = np.empty((len(indices), frontier.shape[1]), dtype=np.uint64)
@@ -232,12 +186,12 @@ class Graph:
                 if not nxt.any():
                     break
                 unseen ^= nxt
-                count = int(np.bitwise_count(nxt[:k]).sum())
+                count = int(np.bitwise_count(nxt).sum())
                 reached += count
                 total += level * count
                 frontier, nxt = nxt, frontier
             if reached != len(bit) * (k - 1):
-                raise ValueError("members span more than one live component")
+                raise ValueError("members are not one whole live cluster")
         return total
 
 

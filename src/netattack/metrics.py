@@ -7,8 +7,9 @@ here, i.e. the average shortest path length inside the biggest cluster
 (not the max eccentricity).
 
 Every observable is a function of the removal order alone, so an attack
-first runs to its end and :func:`measure` then reads S off one reverse
-union-find pass (:func:`giant_sizes`) and d off a replay of the order.
+first runs to its end and :func:`measure` then reads S after every step,
+and the largest cluster at each d row, off one reverse union-find pass
+(:func:`giant_sizes`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from .graph import Graph
 
@@ -54,16 +55,22 @@ class MetricsRow:
     cluster_diameter: float | None
 
 
-def giant_sizes(adjacency: Sequence[Sequence[int]], removals: Removals) -> list[int]:
-    """Largest live cluster size after each step of a removal order.
+def giant_sizes(
+    adjacency: Sequence[Sequence[int]], removals: Removals, cluster_steps: Collection[int] = ()
+) -> tuple[list[int], dict[int, tuple[list[int], bytes]]]:
+    """Largest live cluster after each step of a removal order.
 
     ``removals`` holds ``(step, batch)`` pairs as in an attack trace;
-    entry ``i`` of the result is the size once the first ``i`` batches
-    are gone, so entry 0 is the intact graph. One reverse pass (Newman &
-    Ziff, PRL 85, 4104, 2000): a union-find, by size with path halving,
-    is seeded with the nodes no batch removes, then the batches are added
-    back last to first, and the running maximum before each batch is the
-    size after it. A node removed twice raises ValueError.
+    entry ``i`` of the sizes is the largest cluster size once the first
+    ``i`` batches are gone, so entry 0 is the intact graph. One reverse
+    pass (Newman & Ziff, PRL 85, 4104, 2000): a union-find, by size with
+    path halving, is seeded with the nodes no batch removes, then the
+    batches are added back last to first, and the running maximum before
+    each batch is the size after it. A node removed twice raises
+    ValueError.
+
+    At each step in ``cluster_steps`` the pass also reads off that
+    cluster, as its members and the live mask at that step.
     """
     n = len(adjacency)
     removed = bytearray(n)
@@ -77,6 +84,7 @@ def giant_sizes(adjacency: Sequence[Sequence[int]], removals: Removals) -> list[
     present = bytearray(n)
     best = 0
     sizes = [0] * (len(removals) + 1)
+    clusters = {}
     groups = [[v for v in range(n) if not removed[v]]]
     groups += [batch for _, batch in reversed(removals)]
     for i, group in enumerate(groups):
@@ -96,18 +104,49 @@ def giant_sizes(adjacency: Sequence[Sequence[int]], removals: Removals) -> list[
                     size[root] += size[u]
             if size[root] > best:
                 best = size[root]
-        sizes[len(removals) - i] = best
-    return sizes
+        step = len(removals) - i
+        sizes[step] = best
+        if step in cluster_steps:
+            members = _cluster_of_size(adjacency, parent, size, present, best)
+            clusters[step] = members, bytes(present)
+    return sizes, clusters
+
+
+def _cluster_of_size(adjacency, parent, size, present, best: int) -> list[int]:
+    """Members of the first size-``best`` cluster in live-id order.
+
+    So a size tie goes to the cluster holding the smallest id. Empty when
+    no node is live.
+    """
+    for s in range(len(adjacency)):
+        if present[s]:
+            root = s
+            while parent[root] != root:
+                root = parent[root]
+            if size[root] == best:
+                break
+    else:
+        return []
+    seen = bytearray(len(adjacency))
+    seen[s] = 1
+    members = [s]
+    for v in members:
+        for u in adjacency[v]:
+            if present[u] and not seen[u]:
+                seen[u] = 1
+                members.append(u)
+    return members
 
 
 def snapshot(g: Graph) -> float | None:
     """d of the graph as it stands: mean path length in its largest cluster.
 
-    None when that cluster has fewer than two nodes. It scans every live
-    node for the cluster, so it runs at d rows only.
+    None when that cluster has fewer than two nodes. The cluster comes
+    off :func:`giant_sizes`, with ``g``'s crashed nodes as one batch.
     """
-    members = g.largest_cluster()
-    return g.avg_shortest_path(members) if len(members) >= 2 else None
+    crashed = tuple(v for v, up in enumerate(g.alive) if not up)
+    _, clusters = giant_sizes(g.adjacency, [(1, crashed)], (1,))
+    return g.avg_shortest_path(*clusters[1])
 
 
 def measure(
@@ -125,30 +164,37 @@ def measure(
     Rows sit at step 0, at each step whose removal count crosses an
     ``s_every`` or ``d_every`` mark, and at the final step. When
     ``d_every`` is set, d is measured at step 0, at ``d_every`` crossings
-    and at the final step, on a replay of the order; ``intact_d``, when
-    given, is ``snapshot(g)`` already taken and serves as the step-0 d.
-    With ``early_stop`` the order is cut at the first row, the final one
-    aside, whose S meets the criterion.
+    and at the final step when it crosses no mark, on clusters read off
+    the pass that gives S; ``intact_d``, when given, is ``snapshot(g)``
+    already taken and serves as the step-0 d. With ``early_stop`` the order is cut at the first
+    row, the final one aside, whose S meets the criterion.
 
     Returns the rows, the number of batches kept by the cut (None when
     nothing was cut) and the exact crash threshold: the removal fraction
     at the first kept step whose S meets the criterion, or None.
     """
     n = g.node_count
-    sizes = giant_sizes(g.adjacency, removals)
-    counts = [0]
-    for _, batch in removals:
-        counts.append(counts[-1] + len(batch))
     s_every, d_every = cadence.s_every, cadence.d_every
     with_d = d_every is not None
     # (step, measure d) per row; a step crosses a mark when the removal
     # count passes a multiple of it
     marks = [(0, with_d)]
-    for step in range(1, len(counts)):
-        before, after = counts[step - 1], counts[step]
+    after = 0
+    for step, (_, batch) in enumerate(removals, 1):
+        before, after = after, after + len(batch)
         due_d = with_d and after // d_every > before // d_every
         if due_d or after // s_every > before // s_every:
             marks.append((step, due_d))
+    # a cut ends on a mark, so these are all the steps that can get d
+    d_steps = {step for step, due_d in marks if due_d}
+    if with_d and marks[-1][0] != len(removals):
+        d_steps.add(len(removals))
+    if intact_d is not UNMEASURED:
+        d_steps.discard(0)
+    sizes, clusters = giant_sizes(g.adjacency, removals, d_steps)
+    counts = [0]  # built after the pass, which sets peak memory
+    for _, batch in removals:
+        counts.append(counts[-1] + len(batch))
     kept = None
     if early_stop:
         for k, (step, _) in enumerate(marks):
@@ -163,18 +209,10 @@ def measure(
     )
 
     rows = []
-    replay = g.copy() if with_d else None  # only d rows replay the order
-    applied = 0
     for step, due_d in marks:
         d = None
-        if due_d and step == 0 and intact_d is not UNMEASURED:
-            d = intact_d
-        elif due_d:
-            for _, batch in removals[applied:step]:
-                for v in batch:
-                    replay.crash_node(v)
-            applied = step
-            d = snapshot(replay)
+        if due_d:  # only a given intact d is missing from the clusters
+            d = g.avg_shortest_path(*clusters[step]) if step in clusters else intact_d
         rows.append(
             MetricsRow(
                 step=step,

@@ -345,30 +345,32 @@ def test_criterion_08_oracle_equivalence(criterion_report):
             hi = lo + cut.randrange(1, 4)
             removals.append((len(removals) + 1, tuple(order[lo:hi])))
             lo = hi
-        sizes = giant_sizes(g.adjacency, removals)
-        assert sizes[0] == len(oracles.largest_component(g.adjacency, g.alive))
-        for step, batch in removals:
+        sizes, clusters = giant_sizes(g.adjacency, removals, range(len(removals) + 1))
+        alive = [True] * n
+        for step, batch in [(0, ())] + removals:
             for v in batch:
-                g.crash_node(v)
-            assert sizes[step] == len(oracles.largest_component(g.adjacency, g.alive))
+                alive[v] = False
+            want = oracles.largest_component(g.adjacency, alive)
+            assert sizes[step] == len(want)
+            members, live = clusters[step]
+            assert list(live) == alive
+            assert len(members) == len(set(members))
+            assert set(members) == want
             steps_checked += 1
-        members = g.largest_cluster()
-        assert len(members) == len(set(members))
-        assert set(members) == oracles.largest_component(g.adjacency, g.alive)
-        cluster_checked += 1
+            cluster_checked += 1
 
     path_checked = 0
     worst = 0.0
     while path_checked < 50:
         n = rng.randrange(3, 51)
         g = build_graph(n, oracles.random_connected_edges(rng, n))
-        for v in rng.sample(range(n), rng.randrange(n // 4 + 1)):
-            g.crash_node(v)
-        members = g.largest_cluster()
+        crashed = tuple(rng.sample(range(n), rng.randrange(n // 4 + 1)))
+        _, clusters = giant_sizes(g.adjacency, [(1, crashed)], (1,))
+        members, live = clusters[1]
         if len(members) < 2:
             continue
-        got = g.avg_shortest_path(members)
-        want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+        got = g.avg_shortest_path(members, live)
+        want = oracles.floyd_warshall_mean(g.adjacency, list(live), members)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-9
         path_checked += 1

@@ -36,6 +36,7 @@ from netattack.attacks import (
     step_lower_bounded,
 )
 from netattack.experiment import read_json
+from netattack.metrics import measure
 
 
 def degree_heap(g, nodes):
@@ -232,8 +233,8 @@ class TestSnapshotCadence:
     def test_default_for(self):
         c = SnapshotCadence.default_for(10_000)
         assert (c.s_every, c.d_every) == (50, 200)
-        assert SnapshotCadence.default_for(10, with_diameter=False).d_every is None
-        assert SnapshotCadence.default_for(1).s_every == 1
+        c = SnapshotCadence.default_for(1)
+        assert (c.s_every, c.d_every) == (1, 1)
 
 
 class TestSelectors:
@@ -621,20 +622,33 @@ class TestRunAttack:
         assert cuts >= 20
 
     def test_d_rows_are_the_only_full_scans(self, monkeypatch):
-        calls = []
-        scan = Graph.largest_cluster
-
-        def counted(g):
-            calls.append(g.live_count)
-            return scan(g)
-
-        monkeypatch.setattr(Graph, "largest_cluster", counted)
+        """measure replays nothing, and runs the kernel once per d row."""
         g = generate_ba(BaParams(300, 2, seed=12))
         spec = StrategySpec("random_failure", seed=4)
-        trace = run_attack(g, spec, budget=0.4, cadence=SnapshotCadence(s_every=5))
-        assert len(trace.snapshots) == 25
+        removals = run_attack(g, spec, budget=0.4, cadence=SnapshotCadence(s_every=5)).removals
+        calls = []
+        kernel = Graph.avg_shortest_path
+
+        def counted(self, members, live):
+            calls.append(sum(live))
+            return kernel(self, members, live)
+
+        def replay(*args):
+            raise AssertionError("measure replays the removal order")
+
+        monkeypatch.setattr(Graph, "avg_shortest_path", counted)
+        monkeypatch.setattr(Graph, "copy", replay)
+        monkeypatch.setattr(Graph, "crash_node", replay)
+        rows, _, _ = measure(g, removals, SnapshotCadence(s_every=5), CrashCriterion(), False)
+        assert len(rows) == 25
         assert calls == []
-        trace = run_attack(g, spec, budget=0.4, cadence=SnapshotCadence(s_every=5, d_every=40))
-        d_rows = [r for r in trace.snapshots if r.cluster_diameter is not None]
-        assert [r.removed_count for r in d_rows] == [0, 40, 80, 120]
-        assert len(calls) == len(d_rows)
+        with_d = SnapshotCadence(s_every=5, d_every=40)
+        rows, _, _ = measure(g, removals, with_d, CrashCriterion(), False)
+        d_rows = [r.removed_count for r in rows if r.cluster_diameter is not None]
+        assert d_rows == [0, 40, 80, 120]
+        assert calls == [300, 260, 220, 180]  # live nodes at each d row
+        calls.clear()
+        intact_d = rows[0].cluster_diameter
+        shared, _, _ = measure(g, removals, with_d, CrashCriterion(), False, intact_d=intact_d)
+        assert shared == rows
+        assert calls == [260, 220, 180]  # none at step 0

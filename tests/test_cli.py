@@ -63,7 +63,7 @@ class TestAttack:
             g,
             spec,
             budget=0.6,
-            cadence=CadencePolicy(s_every=5, d_enabled=False).resolve(150),
+            cadence=CadencePolicy(s_every=5, d_every=None).resolve(150),
             criterion=CrashCriterion(0.01),
         )
         expect = tmp_path / "expect.csv"
@@ -261,6 +261,12 @@ class TestErrorPaths:
             ),
             # a bool is never an int
             pytest.param({"base_seed": True}, "base_seed", id="bool-base_seed"),
+            # no JSON value reads as the default d cadence
+            pytest.param(
+                {"snapshot_cadence": {"d_every": "default"}},
+                "snapshot_cadence.d_every",
+                id="string-d_every",
+            ),
         ],
     )
     def test_malformed_config_exit_1_names_field(self, tmp_path, capsys, change, field):

@@ -53,7 +53,8 @@ class TestCadencePolicy:
 
     def test_resolve_explicit_and_disabled(self):
         assert CadencePolicy(s_every=7).resolve(100).s_every == 7
-        assert CadencePolicy(d_enabled=False).resolve(100).d_every is None
+        assert CadencePolicy(d_every=None).resolve(100).d_every is None
+        assert CadencePolicy().resolve(100).d_every == 2
         assert CadencePolicy(d_every=9).resolve(100).d_every == 9
 
 
@@ -91,7 +92,7 @@ def experiment_configs(draw) -> ExperimentConfig:
             [
                 CadencePolicy(s_every),  # d_every absent: the default cadence
                 CadencePolicy(s_every, d_every=draw(st.integers(1, 10**4))),
-                CadencePolicy(s_every, d_enabled=False),  # d_every null: no d
+                CadencePolicy(s_every, d_every=None),  # d_every null: no d
             ]
         )
     )
@@ -123,8 +124,10 @@ class TestConfigJson:
         assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
 
     def test_disabled_d_is_written_as_null(self):
-        cfg = small_config(cadence=CadencePolicy(d_every=5, d_enabled=False))
+        cfg = small_config(cadence=CadencePolicy(d_every=None))
         assert cfg.to_json()["snapshot_cadence"]["d_every"] is None
+        default = small_config(cadence=CadencePolicy()).to_json()["snapshot_cadence"]
+        assert "d_every" not in default
 
     def test_happy_path(self, tmp_path):
         data = {
@@ -146,7 +149,7 @@ class TestConfigJson:
         assert [s.kind for s in cfg.strategies] == ["intentional", "coordinated"]
         assert cfg.trials == 4
         assert cfg.crash_epsilon == 0.02
-        assert cfg.cadence.d_enabled is False
+        assert cfg.cadence.d_every is None
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -277,7 +280,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(experiment_mod, "snapshot", recording)
         monkeypatch.setattr(metrics_mod, "snapshot", recording)
-        cadence = CadencePolicy(s_every=5, d_every=d_every, d_enabled=d_every is not None)
+        cadence = CadencePolicy(s_every=5, d_every=d_every)
         cfg = small_config(strategies=THREE_STRATEGIES, trials=3, cadence=cadence)
         results = run_trials(cfg)
         assert len(intact) == 3 * per_trial
@@ -305,7 +308,7 @@ class TestRunTrials:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", RecordingPool)
-        cfg = small_config(trials=3, cadence=CadencePolicy(s_every=10, d_enabled=False))
+        cfg = small_config(trials=3, cadence=CadencePolicy(s_every=10, d_every=None))
         wide = run_trials(cfg, threads=8)
         assert opened == [3]
         run_trials(cfg, threads=2)

@@ -8,6 +8,7 @@ from netattack import (
     build_graph,
     degree_histogram,
     generate_ba,
+    giant_sizes,
     load_edge_list,
     write_edge_list,
 )
@@ -48,7 +49,9 @@ class TestGenerateBa:
 
     def test_every_node_connected(self):
         g = generate_ba(BaParams(300, 2, seed=3))
-        assert len(g.largest_cluster()) == 300
+        sizes, clusters = giant_sizes(g.adjacency, [], (0,))
+        assert sizes == [300]
+        assert sorted(clusters[0][0]) == list(range(300))
         assert min(g.live_degree) >= 1
         # every non-seed node brought m distinct links of its own
         for v in range(2, 300):

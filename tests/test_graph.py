@@ -4,12 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netattack
 import oracles
 from netattack import CrashCriterion, Graph, SnapshotCadence, build_graph
 from netattack import graph as graph_mod
-from netattack.metrics import measure
+from netattack.metrics import giant_sizes, measure
 
 
 def path_graph(n: int) -> Graph:
@@ -35,7 +37,7 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.live_count == 0
-        assert g.largest_cluster() == []
+        assert giant_sizes(g.adjacency, [], (0,)) == ([0], {0: ([], b"")})
 
 
 class TestCrash:
@@ -87,55 +89,90 @@ class TestDegreeTracking:
                 assert g.live_degree[v] == want
 
 
+def clusters_at_every_step(g: Graph, removals) -> dict:
+    """The pass's (members, live mask) after each batch of ``removals``."""
+    _, clusters = giant_sizes(g.adjacency, removals, range(len(removals) + 1))
+    return clusters
+
+
 class TestClusters:
     def test_fraction_uses_original_node_count(self):
         g = path_graph(3)
         cadence = SnapshotCadence(s_every=1)
         rows, _, _ = measure(g, [(1, (1,))], cadence, CrashCriterion(), early_stop=False)
         assert rows[-1].giant_fraction == pytest.approx(1 / 3)
-        g.crash_node(1)
-        assert sorted(g.largest_cluster()) == [0]
+        members, live = clusters_at_every_step(g, [(1, (1,))])[1]
+        assert (sorted(members), live) == ([0], b"\x01\x00\x01")
 
     def test_size_tie_prefers_smallest_contained_id(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        assert sorted(g.largest_cluster()) == [0, 1]
+        assert sorted(clusters_at_every_step(g, [])[0][0]) == [0, 1]
+        # the union-find roots are 4 for {0, 4, 5} and 2 for {1, 2, 3}, so
+        # the smallest member decides the tie, not the smallest root
+        g = build_graph(6, [(0, 4), (4, 5), (1, 2), (2, 3)])
+        clusters = clusters_at_every_step(g, [(1, (4,)), (2, (2,))])
+        assert sorted(clusters[0][0]) == [0, 4, 5]
+        assert sorted(clusters[1][0]) == [1, 2, 3]
+        assert clusters[2][0] == [0]  # four single nodes
 
     def test_against_exhaustive_enumeration(self):
         rng = random.Random(7)
         for trial in range(60):
             n = rng.randrange(1, 13)
             g = build_graph(n, oracles.random_edges(rng, n, 0.3))
-            for v in rng.sample(range(n), rng.randrange(n)):
-                g.crash_node(v)
-            members = g.largest_cluster()
-            assert len(members) == len(set(members))
-            assert set(members) == oracles.largest_component(g.adjacency, g.alive)
+            order = rng.sample(range(n), rng.randrange(n + 1))
+            removals = [(i + 1, (v,)) for i, v in enumerate(order)]
+            clusters = clusters_at_every_step(g, removals)
+            alive = [True] * n
+            for step, batch in [(0, ())] + removals:
+                for v in batch:
+                    alive[v] = False
+                members, live = clusters[step]
+                assert list(live) == alive
+                assert len(members) == len(set(members))
+                assert set(members) == oracles.largest_component(g.adjacency, alive)
+
+
+def whole_cluster(g: Graph) -> frozenset:
+    """The oracle's largest live cluster of ``g``."""
+    return oracles.largest_component(g.adjacency, g.alive)
 
 
 class TestAvgShortestPath:
     def test_path_graph_example(self):
         g = path_graph(3)
-        members = g.largest_cluster()
-        assert g.avg_shortest_path(members) == pytest.approx(4 / 3)
+        assert g.avg_shortest_path(whole_cluster(g), g.alive) == pytest.approx(4 / 3)
 
     def test_pairs_and_singletons(self):
         g = path_graph(3)
-        assert g.avg_shortest_path([0]) is None
-        assert g.avg_shortest_path([]) is None
-        assert g.avg_shortest_path([0, 1]) == pytest.approx(1.0)
+        assert g.avg_shortest_path([0], g.alive) is None
+        assert g.avg_shortest_path([], g.alive) is None
+        g = path_graph(2)
+        assert g.avg_shortest_path([0, 1], g.alive) == pytest.approx(1.0)
 
     def test_rejects_crashed_and_duplicate_members(self):
         g = path_graph(3)
         g.crash_node(2)
         with pytest.raises(ValueError, match="crashed"):
-            g.avg_shortest_path([1, 2])
+            g.avg_shortest_path([1, 2], g.alive)
         with pytest.raises(ValueError, match="duplicate"):
-            g.avg_shortest_path([0, 0])
+            g.avg_shortest_path([0, 0], g.alive)
+        with pytest.raises(ValueError, match="duplicate"):
+            g.avg_shortest_path([0, 1, 0], g.alive)
 
     def test_rejects_disconnected_members(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="more than one live component"):
-            g.avg_shortest_path([0, 1, 2])
+        cases = [
+            (3, [(0, 1), (1, 2)], [0, 1]),  # part of a cluster
+            (4, [(0, 1), (2, 3)], [0, 1, 2]),  # a cluster and part of another
+            (4, [(0, 1), (2, 3)], [0, 1, 2, 3]),  # two separate clusters
+            (3, [], [0, 1]),  # two isolated live nodes: empty CSR rows
+            (3, [(1, 2)], [0, 1, 2]),  # an isolated node and a cluster
+        ]
+        for n, edges, members in cases:
+            g = build_graph(n, edges)
+            for live in (g.alive, bytes(g.alive)):
+                with pytest.raises(ValueError, match="not one whole live cluster"):
+                    g.avg_shortest_path(members, live)
 
     def test_matches_floyd_warshall(self):
         rng = random.Random(8)
@@ -144,11 +181,27 @@ class TestAvgShortestPath:
             g = build_graph(n, oracles.random_connected_edges(rng, n))
             for v in rng.sample(range(n), rng.randrange(n // 3 + 1)):
                 g.crash_node(v)
-            members = g.largest_cluster()
+            members = whole_cluster(g)
             if len(members) < 2:
                 continue
             want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
-            assert g.avg_shortest_path(members) == pytest.approx(want, abs=1e-9)
+            assert g.avg_shortest_path(members, g.alive) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_cluster_matches_floyd_warshall(self, data):
+        n = data.draw(st.integers(2, 40))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+        g = build_graph(n, edges)
+        for v in data.draw(st.lists(st.integers(0, n - 1), unique=True)):
+            g.crash_node(v)
+        live = bytes(g.alive)
+        for members in oracles.components(g.adjacency, g.alive):
+            want = None
+            if len(members) >= 2:
+                want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+            assert g.avg_shortest_path(members, live) == want
 
     @pytest.mark.parametrize(
         "n, chunk_words, min_size",
@@ -161,20 +214,30 @@ class TestAvgShortestPath:
         # cluster of more than 128 members takes three chunks
         monkeypatch.setattr(graph_mod, "_CHUNK_WORDS", chunk_words)
         rng = random.Random(n)
-        g = build_graph(n, oracles.random_connected_edges(rng, n, extra=0.03))
+        # nodes n and n + 1 form a separate two-node cluster
+        edges = oracles.random_connected_edges(rng, n, extra=0.03) + [(n, n + 1)]
+        g = build_graph(n + 2, edges)
         for v in rng.sample(range(n), 5):
             g.crash_node(v)
-        members = g.largest_cluster()
+        members = whole_cluster(g)
         assert len(members) >= min_size
         want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
-        assert g.avg_shortest_path(members) == pytest.approx(want, abs=1e-9)
+        assert g.avg_shortest_path(members, g.alive) == want
+        # every chunk's searches miss the other cluster, the last chunk's too
+        with pytest.raises(ValueError, match="not one whole live cluster"):
+            g.avg_shortest_path([*members, n, n + 1], g.alive)
 
     def test_member_subset_paths_run_through_non_members(self):
+        # the kernel takes whole clusters only: a subset whose paths would
+        # run through live non-members is rejected, not measured
         g = path_graph(3)
-        assert g.avg_shortest_path([0, 2]) == 2.0
+        with pytest.raises(ValueError, match="not one whole live cluster"):
+            g.avg_shortest_path([0, 2], g.alive)
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         g.crash_node(0)
-        assert g.avg_shortest_path([1, 4]) == 3.0
+        with pytest.raises(ValueError, match="not one whole live cluster"):
+            g.avg_shortest_path([1, 4], g.alive)
+        assert g.avg_shortest_path([1, 2, 3, 4], g.alive) == 20 / 12
 
 
 def test_import_leaves_numpy_unloaded():

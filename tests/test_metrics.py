@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -79,13 +79,28 @@ class TestSnapshot:
         no_d = SnapshotCadence(s_every=1, d_every=None)
         rows, _, _ = measure(g, [(1, (1,))], no_d, CrashCriterion(), False)
         assert [r.cluster_diameter for r in rows] == [None, None]
-        assert copies == []  # only a d replay needs its own crash state
         rows, _, _ = measure(g, [(1, (1,))], SnapshotCadence(1, 1), CrashCriterion(), False)
-        assert copies == [g]
+        assert copies == []  # d comes off the reverse pass, not a replay
         assert rows[0].cluster_diameter == 1.0
         assert rows[1].cluster_diameter is None
         g.crash_node(1)
         assert snapshot(g) is None
+        g.crash_node(0)
+        assert snapshot(g) is None  # no live node at all
+
+    def test_size_tie_goes_to_the_cluster_with_the_smallest_id(self):
+        # a triangle (d = 1) and a three-node path (d = 4/3), joined
+        # through node 6 until it falls
+        cadence = SnapshotCadence(s_every=1, d_every=1)
+        for triangle, path, want in (((0, 4, 5), (1, 2, 3), 1.0), ((1, 4, 5), (0, 2, 3), 4 / 3)):
+            a, b, c = triangle
+            p, q, r = path
+            g = build_graph(7, [(a, b), (b, c), (a, c), (p, q), (q, r), (c, 6), (6, r)])
+            rows, _, _ = measure(g, [(1, (6,))], cadence, CrashCriterion(), False)
+            assert rows[1].giant_fraction == 3 / 7
+            assert rows[1].cluster_diameter == want
+            g.crash_node(6)
+            assert snapshot(g) == want
 
 
 def batched(order: list[int], cuts: list[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -116,18 +131,64 @@ class TestGiantSizes:
     def test_matches_oracle_after_every_step(self, case):
         n, edges, removals = case
         g = build_graph(n, edges)
-        sizes = giant_sizes(g.adjacency, removals)
+        sizes, clusters = giant_sizes(g.adjacency, removals, range(len(removals) + 1))
         assert len(sizes) == len(removals) + 1
+        assert giant_sizes(g.adjacency, removals) == (sizes, {})
         alive = [True] * n
         for i, (_, batch) in enumerate([(0, ())] + removals):
             for v in batch:
                 alive[v] = False
-            assert sizes[i] == len(oracles.largest_component(g.adjacency, alive))
+            want = oracles.largest_component(g.adjacency, alive)
+            assert sizes[i] == len(want)
+            members, live = clusters[i]
+            assert len(members) == len(want)
+            assert set(members) == want
+            assert list(live) == alive
 
     def test_rejects_a_node_removed_twice(self):
         g = build_graph(3, [(0, 1)])
         with pytest.raises(ValueError, match="node 1 is removed twice"):
             giant_sizes(g.adjacency, [(1, (1,)), (2, (2, 1))])
+
+
+class TestMeasureD:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graphs_and_orders(),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([0.1, 0.3, 0.6]),
+    )
+    def test_every_d_row_matches_floyd_warshall(self, case, s_every, d_every, early_stop, eps):
+        n, edges, removals = case
+        assume(n > 0)
+        g = build_graph(n, edges)
+        args = (SnapshotCadence(s_every, d_every), CrashCriterion(eps), early_stop)
+        rows, _, _ = measure(g, removals, *args)
+        assert measure(g, removals, *args, intact_d=snapshot(g))[0] == rows
+        by_step = {row.step: row for row in rows}
+        final = rows[-1].step
+        alive = [True] * n
+        removed = 0
+        for step, batch in [(0, ())] + removals[:final]:
+            after = removed + len(batch)
+            d_mark = after // d_every > removed // d_every
+            s_mark = after // s_every > removed // s_every
+            for v in batch:
+                alive[v] = False
+            removed += len(batch)
+            if step not in by_step:
+                continue
+            members = oracles.largest_component(g.adjacency, alive)
+            want = None
+            if len(members) >= 2:
+                want = oracles.floyd_warshall_mean(g.adjacency, alive, members)
+            # d at step 0, at d marks, and at a final row that is no mark
+            # (a cut always ends on a mark, so such a row was appended)
+            due = step == 0 or d_mark or (step == final and not s_mark)
+            # exact: an integer total over k(k-1)
+            assert by_step[step].cluster_diameter == (want if due else None)
 
 
 class TestExactCrashThreshold:
