@@ -18,14 +18,19 @@ the attacker can see:
 The three local-information strategies start from an initial target
 (random live node by default) because they only learn the network by
 walking it.
+
+The removal loop runs on plain lists of its own and never mutates the
+graph; the two degree-driven kinds share one lazy max-heap of int keys.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+import time
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush, heapreplace
+from typing import Sequence
 
 from .graph import Graph
 from .metrics import UNMEASURED, CrashCriterion, MetricsRow, measure
@@ -140,7 +145,9 @@ class AttackTrace:
     """Complete record of one attack run: what fell when, and the curve.
 
     ``exact_crash_threshold`` is the removal fraction at the first step
-    whose S meets the run's crash criterion, or None.
+    whose S meets the run's crash criterion, or None. ``order_s`` and
+    ``measure_s`` time the removal loop and the measuring; they do not
+    take part in comparisons.
     """
 
     total_nodes: int
@@ -149,6 +156,8 @@ class AttackTrace:
     snapshots: list[MetricsRow] = field(default_factory=list)
     stop_reason: str = ""
     exact_crash_threshold: float | None = None
+    order_s: float = field(default=0.0, compare=False)
+    measure_s: float = field(default=0.0, compare=False)
 
     @property
     def removed_count(self) -> int:
@@ -184,68 +193,76 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
     return frozenset(rng.sample(band, take))
 
 
-def _heap_max(g: Graph, heap: list[tuple[int, int]]) -> int | None:
-    """Top live entry of a lazy ``(-degree, id)`` heap, or None.
+def _heap_max(alive: list[bool], heap: list[int], degree: list[int]) -> int | None:
+    """Top live node of a lazy degree heap, or None.
 
-    Live degrees only fall, so each key bounds its node's degree from
-    above: a stale top is re-keyed in place, an exact one is the maximum
-    (smallest id on ties) and stays on the heap. Crashed entries are dropped.
+    A key is ``v - degree * n``: it orders as ``(-degree, v)`` does, ties
+    included, and decodes as ``v = key % n``. Live degrees only fall, so
+    each key bounds its node's degree from above: a stale top is re-keyed
+    in place, an exact one is the maximum (smallest id on ties) and stays
+    on the heap. Crashed entries are dropped.
     """
-    alive = g.alive
-    degree = g.live_degree
+    n = len(alive)
     while heap:
-        key, v = heap[0]
+        key = heap[0]
+        v = key % n
         if not alive[v]:
-            heapq.heappop(heap)
-        elif -key == degree[v]:
-            return v
+            heappop(heap)
         else:
-            heapq.heapreplace(heap, (-degree[v], v))
+            exact = v - degree[v] * n
+            if key == exact:
+                return v
+            heapreplace(heap, exact)
     return None
 
 
-def select_intentional(g: Graph, heap: list[tuple[int, int]]) -> int | None:
+def select_intentional(alive: list[bool], heap: list[int], degree: list[int]) -> int | None:
     """Highest current-degree live node outside the protected set.
 
     ``heap`` holds every unprotected live node once, so its top is the
     target; ties go to the smallest id.
     """
-    return _heap_max(g, heap)
+    return _heap_max(alive, heap, degree)
 
 
-def select_random_failure(g: Graph, rng: random.Random) -> int | None:
-    return g.random_live_node(rng)
+def select_random_failure(live: list[int], rng: random.Random) -> int | None:
+    """Uniform draw over the live ids, None if all crashed."""
+    return live[rng.randrange(len(live))] if live else None
 
 
 def select_greedy_sequential(
-    g: Graph, last_crashed: int | None, rng: random.Random
-) -> int | None:
-    """Best live neighbor of the last kill, else a uniform random jump."""
-    if last_crashed is not None:
-        best = None
-        best_degree = -1
-        for u in g.adjacency[last_crashed]:
-            if g.alive[u]:
-                d = g.live_degree[u]
-                if d > best_degree or (d == best_degree and u < best):
-                    best, best_degree = u, d
-        if best is not None:
-            return best
-    return g.random_live_node(rng)
+    alive: list[bool], neighbors: list[int], degree: list[int], live: list[int], rng: random.Random
+) -> int:
+    """Best live node among the last kill's ``neighbors``, else a random jump.
+
+    ``live`` is never empty here."""
+    best = None
+    best_degree = -1
+    for u in neighbors:
+        if alive[u]:
+            d = degree[u]
+            if d > best_degree or (d == best_degree and u < best):
+                best, best_degree = u, d
+    return best if best is not None else live[rng.randrange(len(live))]
 
 
-def select_coordinated(g: Graph, heap: list[tuple[int, int]], rng: random.Random) -> int | None:
+def select_coordinated(
+    alive: list[bool], heap: list[int], degree: list[int], live: list[int], rng: random.Random
+) -> int:
     """Best live node on the crashed set's boundary, else a random restart.
 
     ``heap`` gains a node once, when it first neighbors a crashed node,
     so its live entries are exactly the frontier; :func:`_heap_max`
-    picks max degree with the smallest id on ties.
+    picks max degree with the smallest id on ties. ``live`` is never
+    empty here.
     """
-    v = _heap_max(g, heap)
-    return v if v is not None else g.random_live_node(rng)
+    v = _heap_max(alive, heap, degree)
+    return v if v is not None else live[rng.randrange(len(live))]
 
 
-def step_lower_bounded(g: Graph, last_batch: list[int], threshold: int) -> list[int]:
+def step_lower_bounded(
+    alive: list[bool], last_batch: Sequence[int], adjacency: list[list[int]], threshold: int
+) -> list[int]:
     """Frontier nodes to crash simultaneously this step, ascending ids.
 
     A node qualifies only if its degree on the attacker's topology map,
@@ -257,21 +274,21 @@ def step_lower_bounded(g: Graph, last_batch: list[int], threshold: int) -> list[
     live neighbors of the last batch can qualify. An empty result means
     the attack stalls for good.
     """
-    alive = g.alive
-    adjacency = g.adjacency
     joined = {u for v in last_batch for u in adjacency[v] if alive[u]}
     return sorted(u for u in joined if len(adjacency[u]) > threshold)
 
 
-def _resolve_initial(g: Graph, spec: StrategySpec, rng: random.Random) -> int | None:
+def _resolve_initial(g: Graph, spec: StrategySpec, rng: random.Random) -> int:
+    """First target of a distributed kind on fresh ``g``."""
     if isinstance(spec.initial_target, int):
-        if spec.initial_target >= g.node_count or not g.alive[spec.initial_target]:
+        if spec.initial_target >= g.node_count:
             raise ValueError(f"initial_target {spec.initial_target} is not a live node")
         return spec.initial_target
     if spec.initial_target == "max_degree":
-        degree = g.live_degree
-        return max(range(g.node_count), key=lambda v: (degree[v], -v))
-    return g.random_live_node(rng)
+        adjacency = g.adjacency
+        return max(range(g.node_count), key=lambda v: (len(adjacency[v]), -v))
+    # every node is still live, in id order: the draw select_random_failure makes
+    return rng.randrange(g.node_count)
 
 
 def run_attack(
@@ -286,8 +303,8 @@ def run_attack(
 ) -> AttackTrace:
     """Drive one attack to its stopping point, then measure it.
 
-    The attack runs on a private copy, so ``g`` stays fresh. The removal
-    loop records only what fell when; S and d are then read off the
+    The removal loop keeps its own crash state, so ``g`` stays fresh. It
+    records only what fell when; S and d are then read off the
     finished removal order (:func:`metrics.measure`). Rows are taken at
     step 0, whenever the removal count crosses a cadence mark, and at the
     final state. Early stop cuts the order at the first row (the final
@@ -311,10 +328,10 @@ def run_attack(
         cadence = SnapshotCadence.default_for(g.node_count)
     if criterion is None:
         criterion = CrashCriterion()
-    removals, stop_reason = _removal_order(g.copy(), spec, budget)
-    rows, kept, exact = measure(
-        g, removals, cadence, criterion, early_stop, intact_d=intact_d
-    )
+    started = time.perf_counter()
+    removals, stop_reason = _removal_order(g, spec, budget)
+    ordered = time.perf_counter()
+    rows, kept, exact = measure(g, removals, cadence, criterion, early_stop, intact_d=intact_d)
     if kept is not None:
         removals, stop_reason = removals[:kept], STOP_NETWORK_CRASHED
     return AttackTrace(
@@ -324,63 +341,81 @@ def run_attack(
         snapshots=rows,
         stop_reason=stop_reason,
         exact_crash_threshold=exact,
+        order_s=ordered - started,
+        measure_s=time.perf_counter() - ordered,
     )
 
 
 def _removal_order(
     g: Graph, spec: StrategySpec, budget: float
 ) -> tuple[list[tuple[int, tuple[int, ...]]], str]:
-    """Crash ``g`` batch by batch until the attack stops: (removals, stop reason)."""
+    """Crash batch by batch until the attack stops: (removals, stop reason).
+
+    The loop keeps its crash state in plain lists and leaves ``g`` as it
+    is. Only the kinds that draw at random after the first pick keep the
+    live ids, in ``live``, with each one's slot in ``pos`` for an O(1)
+    swap-remove. Each pick is one call of the kind's selector, looked up
+    as a module global so that a wrapper put there sees every call.
+    """
     n = g.node_count
+    adjacency = g.adjacency
+    kind = spec.kind
     rng = random.Random(spec.seed)
     protected = build_protected_set(g, spec.protected, rng)
 
-    removals: list[tuple[int, tuple[int, ...]]] = []
-    removed = 0
-    # lazy max-heap of (-degree, id) for the two degree-driven kinds:
+    alive = [True] * n
+    degree = [len(nbrs) for nbrs in adjacency]
+    live = None if kind in ("intentional", "lower_bounded_parallel") else list(range(n))
+    pos = list(range(n)) if live else None
+    # lazy max-heap keyed v - degree * n for the two degree-driven kinds:
     # intentional starts from every unprotected node, coordinated from none
     # and pushes a node once, when it first joins the frontier
-    heap: list[tuple[int, int]] = []
-    if spec.kind == "intentional":
-        heap = [(-d, v) for v, d in enumerate(g.live_degree) if v not in protected]
-        heapq.heapify(heap)
-    queued = bytearray(n) if spec.kind == "coordinated" else None
-    batch: list[int] = []  # the batch crashed last, until the next pick
-
-    def pick_batch() -> list[int]:
-        if spec.kind == "intentional":
-            v = select_intentional(g, heap)
-        elif spec.kind == "random_failure":
-            v = select_random_failure(g, rng)
-        elif removed == 0:
-            v = _resolve_initial(g, spec, rng)
-        elif spec.kind == "greedy_sequential":
-            v = select_greedy_sequential(g, batch[-1], rng)
-        elif spec.kind == "coordinated":
-            v = select_coordinated(g, heap, rng)
-        else:  # lower_bounded_parallel
-            return step_lower_bounded(g, batch, spec.threshold)
-        return [] if v is None else [v]
-
-    alive = g.alive
-    degree = g.live_degree
+    heap: list[int] = []
+    if kind == "intentional":
+        heap = [v - d * n for v, d in enumerate(degree) if v not in protected]
+        heapify(heap)
+    queued = bytearray(n) if kind == "coordinated" else None
+    removals: list[tuple[int, tuple[int, ...]]] = []
+    removed = 0
+    batch = ()  # the batch crashed last, until the next pick
     while True:
-        batch = pick_batch()
-        if not batch:
-            stop = STOP_STRATEGY_STALLED if g.live_count > 0 else STOP_GRAPH_EXHAUSTED
-            return removals, stop
+        if kind == "lower_bounded_parallel" and removed:
+            batch = step_lower_bounded(alive, batch, adjacency, spec.threshold)
+        else:
+            if kind == "intentional":
+                v = select_intentional(alive, heap, degree)
+            elif kind == "random_failure":
+                v = select_random_failure(live, rng)
+            elif not removed:
+                v = _resolve_initial(g, spec, rng)
+            elif kind == "greedy_sequential":
+                v = select_greedy_sequential(alive, adjacency[batch[-1]], degree, live, rng)
+            else:
+                v = select_coordinated(alive, heap, degree, live, rng)
+            batch = () if v is None else (v,)
+        if not batch:  # some node is live: the last batch ended no run
+            return removals, STOP_STRATEGY_STALLED
         for v in batch:
-            g.crash_node(v)
+            alive[v] = False
+            degree[v] = 0
+            for u in adjacency[v]:
+                if alive[u]:
+                    degree[u] -= 1
+            if live is not None:
+                last = live.pop()
+                if last != v:
+                    live[pos[v]] = last
+                    pos[last] = pos[v]
         removed += len(batch)
         removals.append((len(removals) + 1, tuple(batch)))
         if heap:  # a non-empty heap supplied the pick, as its top
-            heapq.heappop(heap)
+            heappop(heap)
         if queued is not None:
-            for u in g.adjacency[batch[0]]:
+            for u in adjacency[batch[0]]:
                 if alive[u] and not queued[u]:
                     queued[u] = 1
-                    heapq.heappush(heap, (-degree[u], u))
-        if g.live_count == 0:
+                    heappush(heap, u - degree[u] * n)
+        if removed == n:
             return removals, STOP_GRAPH_EXHAUSTED
         if removed / n >= budget:
             return removals, STOP_BUDGET_EXHAUSTED

@@ -19,11 +19,7 @@ from pathlib import Path
 
 from .attacks import run_attack
 from .experiment import (
-    ConfigError,
-    ExperimentConfig,
-    materialize_graph,
-    run_experiment,
-    write_trace_csv,
+    ConfigError, ExperimentConfig, materialize_graph, run_experiment, write_trace_csv
 )
 from .generators import BaParams, generate_ba, write_edge_list
 from .metrics import CrashCriterion
@@ -61,10 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="+", help="curve CSV files from a sweep")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument(
-        "--column",
-        choices=("S", "d"),
-        default="S",
-        help="which observable to plot (default S)",
+        "--column", choices=("S", "d"), default="S", help="which observable to plot (default S)"
     )
 
     return parser
@@ -81,11 +74,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_generate(args) -> int:
     g = generate_ba(BaParams(n=args.n, m=args.m, seed=args.seed))
-    write_edge_list(
-        g,
-        args.out,
-        comments=[f"ba n={args.n} m={args.m} seed={args.seed}", f"edges={g.edge_count}"],
-    )
+    comments = [f"ba n={args.n} m={args.m} seed={args.seed}", f"edges={g.edge_count}"]
+    write_edge_list(g, args.out, comments=comments)
     print(f"wrote {args.out}: {g.node_count} nodes, {g.edge_count} edges")
     return 0
 
@@ -161,10 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort runtime report

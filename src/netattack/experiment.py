@@ -236,16 +236,19 @@ def write_trace_csv(path: str | Path, trace: AttackTrace) -> None:
             fh.write(f"{step},{joined},{f_val!r},{s_val},{d_val}\n")
 
 
-def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, float]]:
+def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, float, float]]:
     """Every strategy of trial ``ti``, in config order, on one graph.
 
-    Each attack runs on its own copy, so the graph stays fresh between
-    strategies; the intact graph's d is measured once and shared.
+    No attack mutates the graph, so it stays fresh between strategies;
+    the intact graph's d is measured once and shared. Each result is
+    (trace, attack seconds, seconds to build the graph and its intact d).
     """
+    started = time.perf_counter()
     g = materialize_graph(config.network, config.base_seed + ti)
     cadence = config.cadence.resolve(g.node_count)
     criterion = CrashCriterion(config.crash_epsilon)
     intact_d = snapshot(g) if cadence.d_every is not None else UNMEASURED
+    build = time.perf_counter() - started
     results = []
     for spec in config.strategies:
         started = time.perf_counter()
@@ -258,13 +261,13 @@ def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, flo
             criterion=criterion,
             intact_d=intact_d,
         )
-        results.append((trace, time.perf_counter() - started))
+        results.append((trace, time.perf_counter() - started, build))
     return results
 
 
 def run_trials(
     config: ExperimentConfig, threads: int = 1
-) -> dict[tuple[int, int], tuple[AttackTrace, float]]:
+) -> dict[tuple[int, int], tuple[AttackTrace, float, float]]:
     """Execute the full (strategy x trial) grid, deterministically keyed.
 
     Workers split the trials; each builds its trial's graph once.
@@ -319,7 +322,7 @@ def run_experiment(
             mean, std, count = threshold_stats(values)
             threshold_rows.append((spec.label, mean, std, count))
             for ti in range(config.trials):
-                trace, wall = results[(si, ti)]
+                trace, wall, build = results[(si, ti)]
                 trial_rows.append(
                     {
                         "strategy": spec.label,
@@ -331,6 +334,9 @@ def run_experiment(
                         "final_S": trace.final.giant_fraction,
                         "crash_threshold": values[ti],
                         "exact_crash_threshold": trace.exact_crash_threshold,
+                        "build_s": round(build, 3),
+                        "order_s": round(trace.order_s, 3),
+                        "measure_s": round(trace.measure_s, 3),
                         "wall_time_s": round(wall, 3),
                     }
                 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -62,10 +63,7 @@ def generate_ba(params: BaParams) -> Graph:
 
 def degree_histogram(g: Graph) -> dict[int, int]:
     """Live-degree counts over live nodes, keys ascending."""
-    counts: dict[int, int] = {}
-    for v in g._live_list:
-        d = g.live_degree[v]
-        counts[d] = counts.get(d, 0) + 1
+    counts = Counter(d for d, up in zip(g.live_degree, g.alive) if up)
     return dict(sorted(counts.items()))
 
 

@@ -5,8 +5,9 @@ A node is removed by flipping its live flag; the adjacency built at
 construction time stays immutable, so graphs can be copied cheaply and
 observables can be read off a removal order against it. Live degrees
 are maintained incrementally, so a crash costs O(degree) and a
-live-degree read O(1); choosing the highest-degree target is left to
-the attack loop.
+live-degree read O(1). The attack loop keeps its own copies of this
+crash state as plain lists and never mutates a graph; ``crash_node``
+serves callers that crash nodes one at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class Graph:
         "live_count",
         "dropped_duplicates",
         "dropped_self_loops",
-        "_live_list",
-        "_live_pos",
     )
 
     def __init__(
@@ -55,8 +54,6 @@ class Graph:
         self.live_count = n
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
-        self._live_list = list(range(n))
-        self._live_pos = list(range(n))
 
     # -- construction helpers -------------------------------------------------
 
@@ -70,8 +67,6 @@ class Graph:
         g.live_count = self.live_count
         g.dropped_duplicates = self.dropped_duplicates
         g.dropped_self_loops = self.dropped_self_loops
-        g._live_list = list(self._live_list)
-        g._live_pos = list(self._live_pos)
         return g
 
     # -- basic queries ---------------------------------------------------------
@@ -86,12 +81,6 @@ class Graph:
         alive = self.alive
         return {u for u in self.adjacency[v] if alive[u]}
 
-    def random_live_node(self, rng) -> int | None:
-        """Uniform draw over live nodes, None if all crashed."""
-        if not self._live_list:
-            return None
-        return self._live_list[rng.randrange(len(self._live_list))]
-
     def _check_id(self, v: int) -> None:
         if not 0 <= v < self.node_count:
             raise ValueError(f"node id {v} outside [0, {self.node_count})")
@@ -105,12 +94,6 @@ class Graph:
             raise ValueError(f"node {v} already crashed")
         self.alive[v] = False
         self.live_degree[v] = 0
-        pos = self._live_pos[v]
-        last = self._live_list[-1]
-        self._live_list[pos] = last
-        self._live_pos[last] = pos
-        self._live_list.pop()
-        self._live_pos[v] = -1
         self.live_count -= 1
         alive = self.alive
         degree = self.live_degree

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-_PALETTE = (
-    "#1f77b4",
-    "#d62728",
-    "#2ca02c",
-    "#9467bd",
-    "#ff7f0e",
-    "#8c564b",
-    "#17becf",
-    "#7f7f7f",
-)
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 
 @dataclass(frozen=True)
@@ -46,10 +37,6 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         ticks.append(round(t, 12))
         t += step
     return ticks
-
-
-def _fmt(x: float) -> str:
-    return f"{x:g}"
 
 
 def render_line_chart(
@@ -106,7 +93,7 @@ def render_line_chart(
         out.append(f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" '
                    f'y2="{top + plot_h + 5}" stroke="#333"/>')
         out.append(f'<text x="{x:.2f}" y="{top + plot_h + 18}" '
-                   f'text-anchor="middle">{_fmt(t)}</text>')
+                   f'text-anchor="middle">{t:g}</text>')
     for t in _nice_ticks(y_lo, y_hi):
         if t < y_lo or t > y_hi:
             continue
@@ -114,7 +101,7 @@ def render_line_chart(
         out.append(f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" '
                    f'y2="{y:.2f}" stroke="#333"/>')
         out.append(f'<text x="{left - 8}" y="{y + 4:.2f}" '
-                   f'text-anchor="end">{_fmt(t)}</text>')
+                   f'text-anchor="end">{t:g}</text>')
     if x_label:
         out.append(
             f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '

@@ -80,6 +80,40 @@ def max_live_degree(adjacency: list, alive: list, excluded=frozenset()):
     return best
 
 
+def random_draws(adjacency: list, kind: str, seed: int, order: list, first_drawn: bool) -> list:
+    """Replay single-node picks and say which node each random draw takes.
+
+    ``order`` is the attack's pick order. The replay keeps the live ids in
+    a list that a crash shrinks by swap-remove: the last id moves into the
+    crashed one's slot. A pick is a draw for every ``random_failure``
+    pick, for a ``greedy_sequential`` pick whose previous kill has no live
+    neighbour, for a ``coordinated`` pick when no live node borders a
+    crashed one, and for the first pick when ``first_drawn``. A draw takes
+    ``live[rng.randrange(len(live))]`` with ``random.Random(seed)``. The
+    result holds that node at each draw and None at every other pick.
+    """
+    n = len(adjacency)
+    rng = random.Random(seed)
+    live = list(range(n))
+    alive = [True] * n
+    expected = []
+    for i, v in enumerate(order):
+        if i == 0:
+            drawn = first_drawn
+        elif kind == "greedy_sequential":
+            drawn = not any(alive[u] for u in adjacency[order[i - 1]])
+        elif kind == "coordinated":
+            drawn = not any(alive[u] for w in order[:i] for u in adjacency[w])
+        else:
+            drawn = kind == "random_failure"
+        expected.append(live[rng.randrange(len(live))] if drawn else None)
+        slot = live.index(v)
+        live[slot] = live[-1]
+        live.pop()
+        alive[v] = False
+    return expected
+
+
 def random_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 

@@ -33,6 +33,7 @@ from netattack.attacks import (
     select_coordinated,
     select_greedy_sequential,
     select_intentional,
+    select_random_failure,
     step_lower_bounded,
 )
 from netattack.experiment import read_json
@@ -41,9 +42,24 @@ from netattack.metrics import measure
 
 def degree_heap(g, nodes):
     """Lazy selection heap over ``nodes``, as run_attack seeds it."""
-    heap = [(-g.live_degree[v], v) for v in nodes]
+    heap = [heap_key(g, v) for v in nodes]
     heapq.heapify(heap)
     return heap
+
+
+def heap_key(g, v):
+    """The int key of node ``v`` at its live degree: ``v - degree * n``."""
+    return v - g.live_degree[v] * g.node_count
+
+
+def decode(key, n):
+    """(node, degree bound) of an int heap key."""
+    return key % n, -(key // n)
+
+
+def pick(select, g, heap, *rest):
+    """Call a heap selector on g's crash state."""
+    return select(g.alive, heap, g.live_degree, *rest)
 
 
 def star_plus_tail(spokes: int = 5, tail: int = 3):
@@ -237,17 +253,21 @@ class TestSnapshotCadence:
         assert (c.s_every, c.d_every) == (1, 1)
 
 
+def live_ids(g):
+    return [v for v in range(g.node_count) if g.alive[v]]
+
+
 class TestSelectors:
     def test_intentional_skips_protected(self):
         g = star_plus_tail()
-        assert select_intentional(g, degree_heap(g, range(g.node_count))) == 0
-        assert select_intentional(g, degree_heap(g, range(1, g.node_count))) == 1
+        assert pick(select_intentional, g, degree_heap(g, range(g.node_count))) == 0
+        assert pick(select_intentional, g, degree_heap(g, range(1, g.node_count))) == 1
 
     def test_intentional_tie_breaks_to_smallest_id(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        assert select_intentional(g, degree_heap(g, range(4))) == 0
-        assert select_intentional(g, degree_heap(g, (1, 2, 3))) == 1
-        assert select_intentional(g, degree_heap(g, (3, 2))) == 2
+        assert pick(select_intentional, g, degree_heap(g, range(4))) == 0
+        assert pick(select_intentional, g, degree_heap(g, (1, 2, 3))) == 1
+        assert pick(select_intentional, g, degree_heap(g, (3, 2))) == 2
 
     def test_intentional_rekeys_stale_entries(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
@@ -255,44 +275,67 @@ class TestSelectors:
         g.crash_node(1)
         # no push after the crash: 1's entry is dead and 0, 2 and 4 hold
         # stale keys; 2 and 3 both have degree 1 now and the smaller id wins
-        assert select_intentional(g, heap) == 2
-        assert heap[0] == (-1, 2)
-        assert sorted(v for _, v in heap) == [0, 2, 3, 4]
+        assert pick(select_intentional, g, heap) == 2
+        assert decode(heap[0], 5) == (2, 1)
+        assert sorted(decode(key, 5)[0] for key in heap) == [0, 2, 3, 4]
 
     def test_intentional_none_when_everything_protected_or_dead(self):
         g = build_graph(2, [(0, 1)])
-        assert select_intentional(g, []) is None
+        assert pick(select_intentional, g, []) is None
         heap = degree_heap(g, range(2))
         g.crash_node(0)
         g.crash_node(1)
-        assert select_intentional(g, heap) is None
+        assert pick(select_intentional, g, heap) is None
         assert heap == []
-        assert g.random_live_node(random.Random(0)) is None
+        assert select_random_failure([], random.Random(0)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.data())
+    def test_int_keys_order_as_degree_then_id(self, degree, data):
+        """Keys v - degree * n pop in (-degree, id) order and decode exactly."""
+        n = len(degree)
+        # degree 0, node n - 1 and ties are always in play
+        degree[-1] = data.draw(st.sampled_from((0, degree[0])))
+        keys = [v - d * n for v, d in enumerate(degree)]
+        by_tuple = sorted(range(n), key=lambda v: (-degree[v], v))
+        assert sorted(keys) == [v - degree[v] * n for v in by_tuple]
+        assert [decode(key, n) for key in keys] == list(enumerate(degree))
+        alive = [True] * n
+        heap = list(keys)
+        heapq.heapify(heap)
+        popped = []
+        while (v := select_intentional(alive, heap, degree)) is not None:
+            popped.append(v)
+            heapq.heappop(heap)
+            alive[v] = False
+        assert popped == by_tuple
 
     def test_greedy_prefers_anchor_neighborhood(self):
         g = star_plus_tail(spokes=3, tail=2)
         g.crash_node(0)
         # neighbors of the dead hub: 1 (degree 1 via tail), 2, 3 (degree 0)
-        assert select_greedy_sequential(g, 0, random.Random(0)) == 1
+        got = pick(select_greedy_sequential, g, g.adjacency[0], live_ids(g), random.Random(0))
+        assert got == 1
 
     def test_greedy_jumps_when_stuck(self):
         g = build_graph(3, [(0, 1)])
         g.crash_node(1)
         g.crash_node(0)
         # anchor 0 has no live neighbors; the jump must pick the only live node
-        assert select_greedy_sequential(g, 0, random.Random(0)) == 2
+        got = pick(select_greedy_sequential, g, g.adjacency[0], live_ids(g), random.Random(0))
+        assert got == 2
 
     def test_coordinated_scans_frontier_with_total_order(self):
         g = build_graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
         g.crash_node(0)
         heap = degree_heap(g, (1, 2))  # the frontier once 0 has crashed
-        assert select_coordinated(g, heap, random.Random(0)) == 2
+        assert pick(select_coordinated, g, heap, live_ids(g), random.Random(0)) == 2
         g.crash_node(2)
         for u in (3, 4):
-            heapq.heappush(heap, (-g.live_degree[u], u))
+            heapq.heappush(heap, heap_key(g, u))
         # 1, 3 and 4 all have degree 0 now: the smallest id wins
-        assert select_coordinated(g, heap, random.Random(0)) == 1
-        restart = select_coordinated(g, [], random.Random(0))
+        assert pick(select_coordinated, g, heap, live_ids(g), random.Random(0)) == 1
+        restart = pick(select_coordinated, g, [], live_ids(g), random.Random(0))
         assert restart in range(g.node_count) and g.alive[restart]
 
     def test_lower_bounded_uses_construction_degrees(self):
@@ -302,15 +345,15 @@ class TestSelectors:
             g.crash_node(v)
         assert g.live_degree[0] == 1
         assert len(g.adjacency[0]) == 5
-        assert step_lower_bounded(g, [2, 3, 4, 5], threshold=3) == [0]
-        assert step_lower_bounded(g, [2, 3, 4, 5], threshold=5) == []
+        assert step_lower_bounded(g.alive, [2, 3, 4, 5], g.adjacency, threshold=3) == [0]
+        assert step_lower_bounded(g.alive, [2, 3, 4, 5], g.adjacency, threshold=5) == []
 
     def test_lower_bounded_sorts_batch(self):
         g = build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
         g.crash_node(5)
         g.crash_node(4)
         # both crashed nodes see 0..3: each appears once, in id order
-        assert step_lower_bounded(g, [5, 4], threshold=1) == [0, 1, 2, 3]
+        assert step_lower_bounded(g.alive, [5, 4], g.adjacency, threshold=1) == [0, 1, 2, 3]
 
 
 class TestRunAttack:
@@ -491,6 +534,30 @@ class TestRunAttack:
             assert trace.stop_reason == STOP_GRAPH_EXHAUSTED
             assert trace.removed_count == n
 
+    @settings(max_examples=300, deadline=None)
+    @given(attack_cases())
+    def test_random_draws_match_swap_remove_oracle(self, case):
+        """Every random pick, jump and restart is the draw the oracle replays."""
+        g, spec = case
+        if spec.kind not in ("random_failure", "greedy_sequential", "coordinated"):
+            spec = StrategySpec("coordinated", seed=spec.seed)
+        order = [v for _, batch in run_attack(g, spec).removals for v in batch]
+        first_drawn = spec.initial_target == "random_live"
+        expected = oracles.random_draws(g.adjacency, spec.kind, spec.seed, order, first_drawn)
+        assert len(expected) == len(order)
+        for want, got in zip(expected, order):
+            assert want in (None, got)
+
+    def test_random_draws_oracle_sees_jumps_and_restarts(self):
+        """On sparse graphs the replay meets draws after the first pick."""
+        g = build_graph(40, oracles.random_edges(random.Random(3), 40, 0.03))
+        for kind in ("random_failure", "greedy_sequential", "coordinated"):
+            spec = StrategySpec(kind, seed=5)
+            order = [v for _, batch in run_attack(g, spec).removals for v in batch]
+            expected = oracles.random_draws(g.adjacency, kind, spec.seed, order, True)
+            assert sum(want is not None for want in expected[1:]) >= 5, kind
+            assert all(want in (None, got) for want, got in zip(expected, order)), kind
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -509,23 +576,21 @@ class TestRunAttack:
         picks = []
 
         def checked(select):
-            def wrapper(g, heap, *rest):
-                ids = [v for _, v in heap]
+            def wrapper(alive, heap, degree, *rest):
+                n = len(alive)
+                decoded = [decode(key, n) for key in heap]
+                ids = [v for v, _ in decoded]
                 assert len(ids) == len(set(ids))
-                assert all(-key >= g.live_degree[v] for key, v in heap)
+                assert all(bound >= degree[v] for v, bound in decoded)
                 if spec.kind == "intentional":
                     # n - |protected| - removed: protected nodes never fall
-                    eligible = {v for v in range(g.node_count) if g.alive[v]} - protected
+                    eligible = {v for v in range(n) if alive[v]} - protected
                 else:
                     eligible = {
-                        u
-                        for v in range(g.node_count)
-                        if not g.alive[v]
-                        for u in g.adjacency[v]
-                        if g.alive[u]
+                        u for v in range(n) if not alive[v] for u in g.adjacency[v] if alive[u]
                     }
                 assert set(ids) == eligible
-                picks.append(select(g, heap, *rest))
+                picks.append(select(alive, heap, degree, *rest))
                 return picks[-1]
 
             return wrapper

@@ -284,7 +284,7 @@ class TestRunTrials:
         cfg = small_config(strategies=THREE_STRATEGIES, trials=3, cadence=cadence)
         results = run_trials(cfg)
         assert len(intact) == 3 * per_trial
-        for trace, _ in results.values():
+        for trace, *_ in results.values():
             first = trace.snapshots[0]
             assert first.step == 0
             assert (first.cluster_diameter is not None) == (d_every is not None)
@@ -411,6 +411,31 @@ class TestRunExperiment:
         run_experiment(cfg_b, threads=4)
         for name in ("intentional.curve.csv", "lower_bounded_parallel_t3.curve.csv", "thresholds.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_phase_times_stay_out_of_csvs(self, tmp_path, monkeypatch):
+        """Phase seconds fill the manifest rows and never reach a CSV."""
+        cfg = small_config(strategies=THREE_STRATEGIES)
+        manifest = run_experiment(cfg, output_dir=tmp_path / "timed")
+        for row in manifest["trials"]:
+            assert row["build_s"] >= 0 and row["order_s"] >= 0 and row["measure_s"] >= 0
+            # each value is rounded to the millisecond on its own
+            assert row["order_s"] + row["measure_s"] <= row["wall_time_s"] + 0.0015
+        for ti in range(cfg.trials):
+            builds = {row["build_s"] for row in manifest["trials"] if row["trial"] == ti}
+            assert len(builds) == 1  # one graph per trial
+        for trace, wall, build in run_trials(cfg).values():
+            assert 0 < trace.order_s + trace.measure_s <= wall
+            assert build > 0
+        ticks = iter(range(10**6))
+        # a clock that leaps 1000 s per read changes every time, not one CSV byte
+        monkeypatch.setattr("time.perf_counter", lambda: 1000.0 * next(ticks))
+        slow = run_experiment(cfg, output_dir=tmp_path / "slow")
+        assert slow["trials"][0]["order_s"] >= 1000
+        timed, slow_dir = tmp_path / "timed", tmp_path / "slow"
+        csvs = sorted(p.name for p in timed.glob("*.csv"))
+        assert len(csvs) == 4
+        for name in csvs:
+            assert (timed / name).read_bytes() == (slow_dir / name).read_bytes()
 
     def test_plots_written_when_asked(self, tmp_path):
         cfg = small_config(output_dir=str(tmp_path / "run"), plots=True)

@@ -77,6 +77,20 @@ class TestDegreeHistogram:
         g.crash_node(0)
         assert degree_histogram(g) == {1: 2, 2: 1}
 
+    def test_keys_ascend_and_count_live_nodes_only(self):
+        g = generate_ba(BaParams(300, 2, seed=1))
+        for v in random.Random(2).sample(range(300), 120):
+            g.crash_node(v)
+        got = degree_histogram(g)
+        assert list(got) == sorted(got)
+        want: dict[int, int] = {}
+        for v in range(300):
+            if g.alive[v]:
+                d = oracles.live_degree(g.adjacency, g.alive, v)
+                want[d] = want.get(d, 0) + 1
+        assert got == want
+        assert sum(got.values()) == 180
+
 
 class TestEdgeListIo:
     def test_round_trip_preserves_ids(self, tmp_path):
