@@ -146,8 +146,9 @@ class AttackTrace:
 
     ``exact_crash_threshold`` is the removal fraction at the first step
     whose S meets the run's crash criterion, or None. ``order_s`` and
-    ``measure_s`` time the removal loop and the measuring; they do not
-    take part in comparisons.
+    ``measure_s`` time the removal loop and the measuring, and ``d_s``
+    the part of ``measure_s`` spent on d; they do not take part in
+    comparisons.
     """
 
     total_nodes: int
@@ -158,6 +159,7 @@ class AttackTrace:
     exact_crash_threshold: float | None = None
     order_s: float = field(default=0.0, compare=False)
     measure_s: float = field(default=0.0, compare=False)
+    d_s: float = field(default=0.0, compare=False)
 
     @property
     def removed_count(self) -> int:
@@ -331,7 +333,9 @@ def run_attack(
     started = time.perf_counter()
     removals, stop_reason = _removal_order(g, spec, budget)
     ordered = time.perf_counter()
-    rows, kept, exact = measure(g, removals, cadence, criterion, early_stop, intact_d=intact_d)
+    rows, kept, exact, d_s = measure(
+        g, removals, cadence, criterion, early_stop, intact_d=intact_d
+    )
     if kept is not None:
         removals, stop_reason = removals[:kept], STOP_NETWORK_CRASHED
     return AttackTrace(
@@ -343,6 +347,7 @@ def run_attack(
         exact_crash_threshold=exact,
         order_s=ordered - started,
         measure_s=time.perf_counter() - ordered,
+        d_s=d_s,
     )
 
 

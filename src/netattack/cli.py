@@ -6,7 +6,9 @@ Subcommands:
   sweep     run the full strategy-by-trial grid, write curves/thresholds
   report    replot curve CSVs into an SVG chart
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error (a ConfigError or a
+missing file), 2 runtime error (anything else, engine invariant
+failures included).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from .attacks import run_attack
 from .experiment import (
-    ConfigError, ExperimentConfig, materialize_graph, run_experiment, write_trace_csv
+    ConfigError, ExperimentConfig, run_experiment, trial_graph, write_trace_csv
 )
 from .generators import BaParams, generate_ba, write_edge_list
 from .metrics import CrashCriterion
@@ -73,7 +75,11 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_generate(args) -> int:
-    g = generate_ba(BaParams(n=args.n, m=args.m, seed=args.seed))
+    try:
+        params = BaParams(n=args.n, m=args.m, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    g = generate_ba(params)
     comments = [f"ba n={args.n} m={args.m} seed={args.seed}", f"edges={g.edge_count}"]
     write_edge_list(g, args.out, comments=comments)
     print(f"wrote {args.out}: {g.node_count} nodes, {g.edge_count} edges")
@@ -83,7 +89,7 @@ def _cmd_generate(args) -> int:
 def _cmd_attack(args) -> int:
     config = _load_config(args)
     spec = config.strategies[0]
-    g = materialize_graph(config.network, config.base_seed)
+    g = trial_graph(config, 0)
     trace = run_attack(
         g,
         spec.with_seed(config.base_seed + spec.seed),
@@ -130,7 +136,10 @@ def _cmd_report(args) -> int:
     for path in args.curves:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-            points = [(float(row["f"]), float(row[col])) for row in rows if row.get(col)]
+            try:
+                points = [(float(row["f"]), float(row[col])) for row in rows if row.get(col)]
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{path}: not a curve CSV ({exc!r})") from None
         curves.append((Path(path).name.removesuffix(".curve.csv").removesuffix(".csv"), points))
     if not write_chart(args.out, curves, args.column):
         raise ConfigError(f"no {args.column} data found in the given curve files")
@@ -151,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort runtime report

@@ -205,13 +205,34 @@ def _read_network(data, base_dir: Path | None) -> tuple:
 
 
 def materialize_graph(network: tuple, graph_seed: int) -> Graph:
-    """Build the trial's graph; edge-list sources ignore the seed."""
+    """Build the trial's graph; edge-list sources ignore the seed.
+
+    A missing or malformed edge list, or one with no edges, is a
+    ConfigError.
+    """
     if network[0] == "ba":
         return generate_ba(BaParams(n=network[1], m=network[2], seed=graph_seed))
     path = Path(network[1])
     if not path.is_file():
         raise ConfigError(f"edge list not found: {path}")
-    g, _ = load_edge_list(path)
+    try:
+        g, _ = load_edge_list(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if g.node_count == 0:
+        raise ConfigError(f"edge list has no edges: {path}")
+    return g
+
+
+def trial_graph(config: ExperimentConfig, ti: int) -> Graph:
+    """Trial ``ti``'s graph, which must hold every explicit initial_target."""
+    g = materialize_graph(config.network, config.base_seed + ti)
+    for i, spec in enumerate(config.strategies):
+        if isinstance(spec.initial_target, int) and spec.initial_target >= g.node_count:
+            raise ConfigError(
+                f"strategies[{i}].initial_target {spec.initial_target} is not a node"
+                f" of the {g.node_count}-node graph"
+            )
     return g
 
 
@@ -244,7 +265,7 @@ def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, flo
     (trace, attack seconds, seconds to build the graph and its intact d).
     """
     started = time.perf_counter()
-    g = materialize_graph(config.network, config.base_seed + ti)
+    g = trial_graph(config, ti)
     cadence = config.cadence.resolve(g.node_count)
     criterion = CrashCriterion(config.crash_epsilon)
     intact_d = snapshot(g) if cadence.d_every is not None else UNMEASURED
@@ -337,6 +358,7 @@ def run_experiment(
                         "build_s": round(build, 3),
                         "order_s": round(trace.order_s, 3),
                         "measure_s": round(trace.measure_s, 3),
+                        "d_s": round(trace.d_s, 3),
                         "wall_time_s": round(wall, 3),
                     }
                 )

@@ -13,13 +13,17 @@ serves callers that crash nodes one at a time.
 from __future__ import annotations
 
 import logging
+from itertools import chain
 from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
 
 # BFS sources per chunk of the distance kernel, in 64-bit words; its
-# arrays grow linearly with this and the live edge count
+# arrays grow linearly with this and the member count
 _CHUNK_WORDS = 4
+# neighbour columns the kernel gathers as slices, per BFS level; a hub's
+# neighbours past them take one gather and OR-reduce
+_COLUMNS = 6
 
 
 class Graph:
@@ -127,49 +131,75 @@ class Graph:
 
         Multi-source BFS (Then et al., VLDB 2014): each member is a BFS
         source with its own bit, 64 sources to a uint64 word, and one
-        level of all their searches is a gather and an OR-reduce over the
-        members' CSR rows. A live neighbour outside the members, a member
-        with no live neighbour, or a search that misses a member raises
+        level of all their searches ORs each member's neighbour rows of
+        the frontier into its row of the next. The neighbours sit in a
+        degree-sorted, column-sliced layout (SELL-C-sigma, Kreutzer et
+        al., SIAM J. Sci. Comput. 36(5), 2014): the members are numbered
+        by descending live degree, so those with a c-th neighbour are a
+        prefix of the numbering, and a level is one contiguous gather per
+        column c < ``_COLUMNS``, ORed into that prefix. Only the
+        neighbours of the hubs past those columns take a gather and an
+        OR-reduce. A live neighbour outside the members, a member with no
+        live neighbour, or a search that misses a member raises
         ValueError.
         """
         import numpy as np
 
-        adjacency = self.adjacency
-        local = [-1] * self.node_count
-        for i, v in enumerate(ids):
-            local[v] = i
-        indptr = [0]
-        indices: list[int] = []
-        for v in ids:
-            indices.extend(local[u] for u in adjacency[v] if live[u])
-            indptr.append(len(indices))
-        indptr = np.array(indptr, dtype=np.intp)
-        indices = np.array(indices, dtype=np.intp)
-        # reduceat needs every row non-empty, and local id -1 is a non-member
-        if (indptr[1:] == indptr[:-1]).any() or indices.min() < 0:
-            raise ValueError("members are not one whole live cluster")
         k = len(ids)
-        starts = indptr[:-1]
+        rows = [self.adjacency[v] for v in ids]
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=k)
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
+        up = np.frombuffer(bytes(live), dtype=np.uint8)[flat] != 0
+        degree = np.bincount(np.repeat(np.arange(k), lengths)[up], minlength=k)
+        order = np.argsort(-degree, kind="stable")
+        local = np.full(self.node_count, -1, dtype=np.intp)
+        local[np.array(ids)[order]] = np.arange(k)
+        # CSR of the live neighbours in the members' degree order, where
+        # -1 is a non-member
+        indices = local[flat[up]]
+        starts = (np.cumsum(degree) - degree)[order]
+        degree = degree[order]
+        # an isolated member sorts last
+        if degree[-1] == 0 or indices.min() < 0:
+            raise ValueError("members are not one whole live cluster")
+        columns = [
+            indices[starts[: np.count_nonzero(degree > c)] + c]
+            for c in range(min(_COLUMNS, degree[0]))
+        ]
+        hubs = np.count_nonzero(degree > _COLUMNS)
+        spill = degree[:hubs] - _COLUMNS
+        spill_starts = np.cumsum(spill) - spill
+        tail = indices[
+            np.repeat(starts[:hubs] + _COLUMNS - spill_starts, spill) + np.arange(spill.sum())
+        ]
         total = 0
         for lo in range(0, k, 64 * _CHUNK_WORDS):
             bit = np.arange(min(k - lo, 64 * _CHUNK_WORDS), dtype=np.uint64)
             frontier = np.zeros((k, (len(bit) + 63) // 64), dtype=np.uint64)
             frontier[lo + bit, bit >> 6] = np.uint64(1) << (bit & 63)
             unseen = ~frontier
-            gathered = np.empty((len(indices), frontier.shape[1]), dtype=np.uint64)
             nxt = np.empty_like(frontier)
+            part = np.empty_like(frontier)
+            tail_rows = np.empty((len(tail), frontier.shape[1]), dtype=np.uint64)
             reached = 0
             level = 0
             while True:
                 level += 1
                 # "clip" (the indices are in range) spares the copy "raise" makes for out=
-                np.take(frontier, indices, axis=0, out=gathered, mode="clip")
-                np.bitwise_or.reduceat(gathered, starts, axis=0, out=nxt)
+                frontier.take(columns[0], axis=0, out=nxt, mode="clip")
+                for column in columns[1:]:
+                    gathered = part[: len(column)]
+                    frontier.take(column, axis=0, out=gathered, mode="clip")
+                    nxt[: len(column)] |= gathered
+                if hubs:
+                    frontier.take(tail, axis=0, out=tail_rows, mode="clip")
+                    np.bitwise_or.reduceat(tail_rows, spill_starts, axis=0, out=part[:hubs])
+                    nxt[:hubs] |= part[:hubs]
                 nxt &= unseen
-                if not nxt.any():
+                count = int(np.bitwise_count(nxt).sum())
+                if not count:
                     break
                 unseen ^= nxt
-                count = int(np.bitwise_count(nxt).sum())
                 reached += count
                 total += level * count
                 frontier, nxt = nxt, frontier

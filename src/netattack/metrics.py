@@ -15,6 +15,7 @@ and the largest cluster at each d row, off one reverse union-find pass
 from __future__ import annotations
 
 import statistics
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
@@ -170,8 +171,9 @@ def measure(
     row, the final one aside, whose S meets the criterion.
 
     Returns the rows, the number of batches kept by the cut (None when
-    nothing was cut) and the exact crash threshold: the removal fraction
-    at the first kept step whose S meets the criterion, or None.
+    nothing was cut), the exact crash threshold (the removal fraction
+    at the first kept step whose S meets the criterion, or None) and the
+    seconds spent measuring d.
     """
     n = g.node_count
     s_every, d_every = cadence.s_every, cadence.d_every
@@ -209,10 +211,15 @@ def measure(
     )
 
     rows = []
+    d_s = 0.0
     for step, due_d in marks:
         d = None
-        if due_d:  # only a given intact d is missing from the clusters
-            d = g.avg_shortest_path(*clusters[step]) if step in clusters else intact_d
+        if due_d and step in clusters:
+            started = time.perf_counter()
+            d = g.avg_shortest_path(*clusters[step])
+            d_s += time.perf_counter() - started
+        elif due_d:  # only a given intact d is missing from the clusters
+            d = intact_d
         rows.append(
             MetricsRow(
                 step=step,
@@ -222,7 +229,7 @@ def measure(
                 cluster_diameter=d,
             )
         )
-    return rows, kept, exact
+    return rows, kept, exact, d_s
 
 
 def crash_threshold(trace: "AttackTrace", criterion: CrashCriterion) -> float | None:

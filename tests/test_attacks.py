@@ -704,16 +704,16 @@ class TestRunAttack:
         monkeypatch.setattr(Graph, "avg_shortest_path", counted)
         monkeypatch.setattr(Graph, "copy", replay)
         monkeypatch.setattr(Graph, "crash_node", replay)
-        rows, _, _ = measure(g, removals, SnapshotCadence(s_every=5), CrashCriterion(), False)
+        rows, _, _, _ = measure(g, removals, SnapshotCadence(s_every=5), CrashCriterion(), False)
         assert len(rows) == 25
         assert calls == []
         with_d = SnapshotCadence(s_every=5, d_every=40)
-        rows, _, _ = measure(g, removals, with_d, CrashCriterion(), False)
+        rows, _, _, _ = measure(g, removals, with_d, CrashCriterion(), False)
         d_rows = [r.removed_count for r in rows if r.cluster_diameter is not None]
         assert d_rows == [0, 40, 80, 120]
         assert calls == [300, 260, 220, 180]  # live nodes at each d row
         calls.clear()
         intact_d = rows[0].cluster_diameter
-        shared, _, _ = measure(g, removals, with_d, CrashCriterion(), False, intact_d=intact_d)
+        shared, _, _, _ = measure(g, removals, with_d, CrashCriterion(), False, intact_d=intact_d)
         assert shared == rows
         assert calls == [260, 220, 180]  # none at step 0

@@ -218,8 +218,11 @@ class TestErrorPaths:
         )
         rc = main(["sweep", "--config", cfg, "--threads", "2"])
         assert rc == 1
-        assert "initial_target 50" in capsys.readouterr().err
+        assert "strategies[0].initial_target 50 is not a node" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        rc = main(["attack", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "initial_target 50" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "change,field",
@@ -280,6 +283,48 @@ class TestErrorPaths:
         rc = main(["sweep", "--config", cfg])
         assert rc == 1
         assert f"error: {field} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("a b\nb c d\n", "net.txt:2: expected two labels"), ("# nothing\n", "no edges")],
+        ids=["malformed-line", "empty-graph"],
+    )
+    def test_bad_edge_list_exit_1(self, tmp_path, capsys, text, message):
+        (tmp_path / "net.txt").write_text(text)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"edge_list": "net.txt"},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(tmp_path / "out"),
+        )
+        for argv in (["sweep", "--config", cfg], ["attack", "--config", cfg]):
+            assert main(argv) == 1
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["f,S_mean\n0.0,abc\n", "x,S_mean\n0.0,1.0\n"], ids=["value", "column"]
+    )
+    def test_malformed_curve_csv_exit_1(self, tmp_path, capsys, text):
+        curve = tmp_path / "bad.curve.csv"
+        curve.write_text(text)
+        assert main(["report", str(curve), "--out", str(tmp_path / "x.svg")]) == 1
+        assert "bad.curve.csv: not a curve CSV" in capsys.readouterr().err
+
+    def test_engine_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an engine invariant failure is a runtime error, not a bad config
+        def broken(*args, **kwargs):
+            raise ValueError("node 3 is removed twice")
+
+        monkeypatch.setattr("netattack.metrics.giant_sizes", broken)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "runtime error: node 3 is removed twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unexpected_failures_exit_2(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -26,6 +27,7 @@ from netattack import (
     snapshot,
     write_trace_csv,
 )
+from netattack.experiment import trial_graph
 from netattack import experiment as experiment_mod
 from netattack import metrics as metrics_mod
 
@@ -203,6 +205,29 @@ class TestMaterializeGraph:
         assert g.node_count == 3
         with pytest.raises(ConfigError, match="edge list not found"):
             materialize_graph(("edge_list", str(tmp_path / "gone.txt")), graph_seed=0)
+
+    def test_bad_edge_lists_are_config_errors(self, tmp_path):
+        malformed = tmp_path / "malformed.txt"
+        malformed.write_text("a b\nb c d\n")
+        with pytest.raises(ConfigError, match=r"malformed.txt:2: expected two labels"):
+            materialize_graph(("edge_list", str(malformed)), graph_seed=0)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no edges\n\n")
+        with pytest.raises(ConfigError, match="edge list has no edges"):
+            materialize_graph(("edge_list", str(empty)), graph_seed=0)
+
+    def test_initial_target_must_be_a_node(self):
+        cfg = small_config(
+            network=("ba", 40, 2),
+            strategies=(
+                StrategySpec("intentional"),
+                StrategySpec("coordinated", initial_target=40),
+            ),
+        )
+        with pytest.raises(ConfigError, match=r"strategies\[1\].initial_target 40 is not"):
+            trial_graph(cfg, 0)
+        ok = small_config(strategies=(StrategySpec("coordinated", initial_target=149),))
+        assert trial_graph(ok, 1).adjacency == materialize_graph(("ba", 150, 2), 6).adjacency
 
 
 class TestTraceCsv:
@@ -420,22 +445,53 @@ class TestRunExperiment:
             assert row["build_s"] >= 0 and row["order_s"] >= 0 and row["measure_s"] >= 0
             # each value is rounded to the millisecond on its own
             assert row["order_s"] + row["measure_s"] <= row["wall_time_s"] + 0.0015
+            # d rows are a part of the measuring, and rounding keeps the order
+            assert 0 <= row["d_s"] <= row["measure_s"]
         for ti in range(cfg.trials):
             builds = {row["build_s"] for row in manifest["trials"] if row["trial"] == ti}
             assert len(builds) == 1  # one graph per trial
         for trace, wall, build in run_trials(cfg).values():
             assert 0 < trace.order_s + trace.measure_s <= wall
+            assert 0 < trace.d_s <= trace.measure_s
             assert build > 0
         ticks = iter(range(10**6))
         # a clock that leaps 1000 s per read changes every time, not one CSV byte
         monkeypatch.setattr("time.perf_counter", lambda: 1000.0 * next(ticks))
         slow = run_experiment(cfg, output_dir=tmp_path / "slow")
         assert slow["trials"][0]["order_s"] >= 1000
+        assert slow["trials"][0]["d_s"] >= 1000
         timed, slow_dir = tmp_path / "timed", tmp_path / "slow"
         csvs = sorted(p.name for p in timed.glob("*.csv"))
         assert len(csvs) == 4
         for name in csvs:
             assert (timed / name).read_bytes() == (slow_dir / name).read_bytes()
+
+    def test_d_curves_match_pinned_digests(self, tmp_path):
+        """The bytes of a small d-measuring sweep's curves are pinned.
+
+        The digests were recorded with the CSR gather and OR-reduce d
+        kernel; any change to d, its cluster or its rounding shows here.
+        """
+        cfg = ExperimentConfig.from_json(
+            {
+                "network": {"ba": {"n": 2000, "m": 2}},
+                "strategies": [{"kind": "intentional"}, {"kind": "random_failure"}],
+                "trials": 2,
+                "budget": 0.5,
+                "snapshot_cadence": {"s_every": 20, "d_every": 200},
+            }
+        )
+        run_experiment(cfg, output_dir=tmp_path)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("intentional.curve.csv", "random_failure.curve.csv")
+        }
+        assert digests == {
+            "intentional.curve.csv":
+                "a1a6162000adeb122e85b133f8f94750dc412a042570a2c2c879f9a1a5ee0ef8",
+            "random_failure.curve.csv":
+                "1eec5f43607c32eaef41fcfe44a8a5f0c422329716bc70258118f451d589b96b",
+        }
 
     def test_plots_written_when_asked(self, tmp_path):
         cfg = small_config(output_dir=str(tmp_path / "run"), plots=True)

@@ -99,7 +99,7 @@ class TestClusters:
     def test_fraction_uses_original_node_count(self):
         g = path_graph(3)
         cadence = SnapshotCadence(s_every=1)
-        rows, _, _ = measure(g, [(1, (1,))], cadence, CrashCriterion(), early_stop=False)
+        rows, _, _, _ = measure(g, [(1, (1,))], cadence, CrashCriterion(), early_stop=False)
         assert rows[-1].giant_fraction == pytest.approx(1 / 3)
         members, live = clusters_at_every_step(g, [(1, (1,))])[1]
         assert (sorted(members), live) == ([0], b"\x01\x00\x01")
@@ -167,12 +167,19 @@ class TestAvgShortestPath:
             (4, [(0, 1), (2, 3)], [0, 1, 2, 3]),  # two separate clusters
             (3, [], [0, 1]),  # two isolated live nodes: empty CSR rows
             (3, [(1, 2)], [0, 1, 2]),  # an isolated node and a cluster
+            (4, [(0, 1), (1, 2)], [0, 1, 2, 3]),  # the isolated node has the top id
         ]
         for n, edges, members in cases:
             g = build_graph(n, edges)
             for live in (g.alive, bytes(g.alive)):
                 with pytest.raises(ValueError, match="not one whole live cluster"):
                     g.avg_shortest_path(members, live)
+        # a member whose only neighbour is crashed is isolated too
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        g.crash_node(1)
+        for live in (g.alive, bytes(g.alive)):
+            with pytest.raises(ValueError, match="not one whole live cluster"):
+                g.avg_shortest_path([0, 2, 3], live)
 
     def test_matches_floyd_warshall(self):
         rng = random.Random(8)
@@ -226,6 +233,55 @@ class TestAvgShortestPath:
         # every chunk's searches miss the other cluster, the last chunk's too
         with pytest.raises(ValueError, match="not one whole live cluster"):
             g.avg_shortest_path([*members, n, n + 1], g.alive)
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_hub_tails_match_floyd_warshall(self, monkeypatch, columns):
+        # with one or two sliced columns most members of a small graph
+        # are hubs, whose further neighbours take the OR-reduce
+        monkeypatch.setattr(graph_mod, "_COLUMNS", columns)
+        rng = random.Random(columns)
+        for trial in range(30):
+            n = rng.randrange(3, 30)
+            g = build_graph(n, oracles.random_connected_edges(rng, n, extra=0.15))
+            for v in rng.sample(range(n), rng.randrange(n // 3 + 1)):
+                g.crash_node(v)
+            members = whole_cluster(g)
+            if len(members) < 2:
+                continue
+            want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+            for live in (g.alive, bytes(g.alive)):
+                assert g.avg_shortest_path(members, live) == want
+
+    @pytest.mark.parametrize("columns", [1, 2, graph_mod._COLUMNS])
+    def test_star_centre_past_the_cap(self, monkeypatch, columns):
+        monkeypatch.setattr(graph_mod, "_COLUMNS", columns)
+        leaves = columns + 4
+        # centre 0, leaves 1..leaves, and a tail of two nodes off the last leaf
+        star = [(0, v) for v in range(1, leaves + 1)]
+        tail = [(leaves, leaves + 1), (leaves + 1, leaves + 2)]
+        for edges in (star, star + tail):
+            g = build_graph(len(edges) + 1, edges)
+            assert len(g.adjacency[0]) > columns
+            members = range(g.node_count)
+            want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+            for live in (g.alive, bytes(g.alive)):
+                assert g.avg_shortest_path(members, live) == want
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_chunk_boundary_matches_floyd_warshall(self, k):
+        # 256 sources fill a chunk, so these clusters take one chunk, one
+        # full chunk, and a full chunk plus a one-source chunk
+        assert 64 * graph_mod._CHUNK_WORDS == 256
+        rng = random.Random(k)
+        edges = oracles.random_connected_edges(rng, k, extra=0.004)
+        # node k is a crashed neighbour of some members
+        edges += [(v, k) for v in rng.sample(range(k), 5)]
+        g = build_graph(k + 1, edges)
+        g.crash_node(k)
+        members = range(k)
+        want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+        for live in (g.alive, bytes(g.alive)):
+            assert g.avg_shortest_path(members, live) == want
 
     def test_member_subset_paths_run_through_non_members(self):
         # the kernel takes whole clusters only: a subset whose paths would

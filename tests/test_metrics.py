@@ -60,7 +60,7 @@ class TestSnapshot:
     def test_fields(self):
         g = build_graph(4, [(0, 1), (1, 2)])
         cadence = SnapshotCadence(s_every=1, d_every=1)
-        rows, kept, exact = measure(g, [(1, (3,))], cadence, CrashCriterion(), False)
+        rows, kept, exact, _ = measure(g, [(1, (3,))], cadence, CrashCriterion(), False)
         r = rows[-1]
         assert r.step == 1
         assert r.removed_count == 1
@@ -77,9 +77,9 @@ class TestSnapshot:
         monkeypatch.setattr(Graph, "copy", lambda g: copies.append(g) or copy(g))
         g = build_graph(2, [(0, 1)])
         no_d = SnapshotCadence(s_every=1, d_every=None)
-        rows, _, _ = measure(g, [(1, (1,))], no_d, CrashCriterion(), False)
+        rows, _, _, _ = measure(g, [(1, (1,))], no_d, CrashCriterion(), False)
         assert [r.cluster_diameter for r in rows] == [None, None]
-        rows, _, _ = measure(g, [(1, (1,))], SnapshotCadence(1, 1), CrashCriterion(), False)
+        rows, _, _, _ = measure(g, [(1, (1,))], SnapshotCadence(1, 1), CrashCriterion(), False)
         assert copies == []  # d comes off the reverse pass, not a replay
         assert rows[0].cluster_diameter == 1.0
         assert rows[1].cluster_diameter is None
@@ -96,7 +96,7 @@ class TestSnapshot:
             a, b, c = triangle
             p, q, r = path
             g = build_graph(7, [(a, b), (b, c), (a, c), (p, q), (q, r), (c, 6), (6, r)])
-            rows, _, _ = measure(g, [(1, (6,))], cadence, CrashCriterion(), False)
+            rows, _, _, _ = measure(g, [(1, (6,))], cadence, CrashCriterion(), False)
             assert rows[1].giant_fraction == 3 / 7
             assert rows[1].cluster_diameter == want
             g.crash_node(6)
@@ -165,7 +165,7 @@ class TestMeasureD:
         assume(n > 0)
         g = build_graph(n, edges)
         args = (SnapshotCadence(s_every, d_every), CrashCriterion(eps), early_stop)
-        rows, _, _ = measure(g, removals, *args)
+        rows, _, _, _ = measure(g, removals, *args)
         assert measure(g, removals, *args, intact_d=snapshot(g))[0] == rows
         by_step = {row.step: row for row in rows}
         final = rows[-1].step
@@ -208,14 +208,14 @@ class TestExactCrashThreshold:
             s = len(oracles.largest_component(g.adjacency, alive)) / 20
             if want is None and s <= 0.25:
                 want = removed / 20
-        rows, _, exact = measure(g, removals, SnapshotCadence(s_every=6), criterion, False)
+        rows, _, exact, _ = measure(g, removals, SnapshotCadence(s_every=6), criterion, False)
         assert exact == want
         # the interpolated threshold reads only the rows, the exact one every step
         assert want not in [r.fraction_removed for r in rows]
-        _, _, never = measure(g, removals[:2], SnapshotCadence(s_every=6), criterion, False)
+        _, _, never, _ = measure(g, removals[:2], SnapshotCadence(s_every=6), criterion, False)
         assert never is None
         apart = build_graph(20, [])
-        _, _, at_once = measure(apart, removals, SnapshotCadence(s_every=6), criterion, False)
+        _, _, at_once, _ = measure(apart, removals, SnapshotCadence(s_every=6), criterion, False)
         assert at_once == 0.0
 
 
