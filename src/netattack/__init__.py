@@ -18,7 +18,6 @@ from .generators import (
 from .attacks import (
     AttackTrace,
     ProtectedRule,
-    SnapshotCadence,
     StrategySpec,
     build_protected_set,
     run_attack,
@@ -27,6 +26,7 @@ from .metrics import (
     CrashCriterion,
     CurvePoint,
     MetricsRow,
+    SnapshotCadence,
     crash_threshold,
     curve_export,
     giant_sizes,
@@ -34,7 +34,6 @@ from .metrics import (
     write_curve_csv,
 )
 from .experiment import (
-    CadencePolicy,
     ConfigError,
     ExperimentConfig,
     materialize_graph,
@@ -66,7 +65,6 @@ __all__ = [
     "crash_threshold",
     "curve_export",
     "write_curve_csv",
-    "CadencePolicy",
     "ConfigError",
     "ExperimentConfig",
     "materialize_graph",

@@ -33,7 +33,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from typing import Sequence
 
 from .graph import Graph
-from .metrics import UNMEASURED, CrashCriterion, MetricsRow, measure
+from .metrics import CrashCriterion, MetricsRow, SnapshotCadence, measure
 
 DISTRIBUTED_KINDS = ("greedy_sequential", "coordinated", "lower_bounded_parallel")
 STRATEGY_KINDS = ("intentional", "random_failure") + DISTRIBUTED_KINDS
@@ -114,30 +114,6 @@ class StrategySpec:
 
     def with_seed(self, seed: int) -> "StrategySpec":
         return replace(self, seed=seed)
-
-
-@dataclass(frozen=True)
-class SnapshotCadence:
-    """Where a run's curve is sampled: S every s_every removals, d every d_every.
-
-    S is known after every step at no extra cost, so s_every only sets
-    the resolution. d_every=None disables the path-length observable,
-    the expensive one: each evaluation runs a BFS from every cluster
-    member.
-    """
-
-    s_every: int
-    d_every: int | None = None
-
-    def __post_init__(self):
-        if self.s_every < 1:
-            raise ValueError(f"s_every must be >= 1, got {self.s_every}")
-        if self.d_every is not None and self.d_every < 1:
-            raise ValueError(f"d_every must be >= 1 or None, got {self.d_every}")
-
-    @classmethod
-    def default_for(cls, n: int) -> "SnapshotCadence":
-        return cls(s_every=max(1, math.ceil(n / 200)), d_every=max(1, math.ceil(n / 50)))
 
 
 @dataclass
@@ -298,10 +274,10 @@ def run_attack(
     spec: StrategySpec,
     *,
     budget: float = 1.0,
-    cadence: SnapshotCadence | None = None,
+    cadence: SnapshotCadence = SnapshotCadence(),
     early_stop: bool = False,
     criterion: CrashCriterion | None = None,
-    intact_d: object = UNMEASURED,
+    intact_d: float | None = None,
 ) -> AttackTrace:
     """Drive one attack to its stopping point, then measure it.
 
@@ -313,7 +289,7 @@ def run_attack(
     one aside) that meets the crash criterion, so the cadence bounds how
     precisely the crash point is located. ``intact_d`` is ``snapshot(g)``
     when the caller already has it, so strategies run on one graph
-    measure the intact d once.
+    measure the intact d once; None has it measured here.
 
     Stop reasons: network_crashed (early stop hit the crash criterion),
     strategy_stalled (no eligible target but live nodes remain),
@@ -326,8 +302,6 @@ def run_attack(
         raise ValueError("graph has no live nodes")
     if g.live_count != g.node_count:
         raise ValueError("run_attack needs a fresh graph (no crashed nodes)")
-    if cadence is None:
-        cadence = SnapshotCadence.default_for(g.node_count)
     if criterion is None:
         criterion = CrashCriterion()
     started = time.perf_counter()

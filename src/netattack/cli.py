@@ -94,7 +94,7 @@ def _cmd_attack(args) -> int:
         g,
         spec.with_seed(config.base_seed + spec.seed),
         budget=config.budget,
-        cadence=config.cadence.resolve(g.node_count),
+        cadence=config.cadence,
         early_stop=config.early_stop,
         criterion=CrashCriterion(config.crash_epsilon),
     )

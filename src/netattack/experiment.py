@@ -12,18 +12,18 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from enum import Enum
 from itertools import repeat
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from ._version import __version__
-from .attacks import AttackTrace, SnapshotCadence, StrategySpec, run_attack
+from .attacks import AttackTrace, StrategySpec, run_attack
 from .generators import BaParams, generate_ba, load_edge_list
 from .graph import Graph
 from .metrics import (
-    UNMEASURED,
+    DEFAULT_D_EVERY,
     CrashCriterion,
+    SnapshotCadence,
     crash_threshold,
     curve_export,
     snapshot,
@@ -37,39 +37,6 @@ class ConfigError(ValueError):
     """Configuration is unusable (bad schema, bad values, missing source)."""
 
 
-class _Default(Enum):
-    D_EVERY = "default"
-
-
-DEFAULT_D_EVERY = _Default.D_EVERY
-
-
-@dataclass(frozen=True)
-class CadencePolicy:
-    """Cadence as configured; concrete values resolve per graph size.
-
-    ``d_every`` has three states: an int fixes it, None (JSON null) turns
-    d off, and ``DEFAULT_D_EVERY`` takes the default, as ``s_every`` None
-    does. Only an absent key reads as ``DEFAULT_D_EVERY``; no JSON value
-    does, and ``to_json`` writes it by leaving the key out.
-    """
-
-    s_every: int | None = None
-    d_every: int | None | _Default = DEFAULT_D_EVERY
-
-    def __post_init__(self):
-        for name in ("s_every", "d_every"):
-            value = getattr(self, name)
-            if value is not None and value is not DEFAULT_D_EVERY and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-
-    def resolve(self, n: int) -> SnapshotCadence:
-        base = SnapshotCadence.default_for(n)
-        s = base.s_every if self.s_every is None else self.s_every
-        d = base.d_every if self.d_every is DEFAULT_D_EVERY else self.d_every
-        return SnapshotCadence(s_every=s, d_every=d)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     network: tuple
@@ -78,7 +45,7 @@ class ExperimentConfig:
     base_seed: int = 0
     crash_epsilon: float = 0.01
     budget: float = 1.0
-    cadence: CadencePolicy = CadencePolicy()
+    cadence: SnapshotCadence = SnapshotCadence()
     output_dir: str | None = None
     early_stop: bool = False
     plots: bool = False
@@ -110,7 +77,7 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         data = {k: v for k, v in data.items() if k != "notes"}
         network = _read_network(data.pop("network", None), base_dir)
-        cadence = read_json(CadencePolicy, data.pop("snapshot_cadence", {}), "snapshot_cadence")
+        cadence = read_json(SnapshotCadence, data.pop("snapshot_cadence", {}), "snapshot_cadence")
         return read_json(cls, data, network=network, cadence=cadence)
 
     def to_json(self) -> dict:
@@ -185,7 +152,7 @@ def _read_value(hint, value, path: str):
         if isinstance(value, bool) == (kind is bool) and isinstance(value, accepted):
             return value
     # no JSON value reads as the cadence default, so it goes unnamed
-    names = " or ".join(k.__name__ for k in kinds if k not in (type(None), _Default))
+    names = " or ".join(k.__name__ for k in kinds if k not in (type(None), type(DEFAULT_D_EVERY)))
     raise ConfigError(f"{path} must be of type {names}, got {value!r}")
 
 
@@ -266,9 +233,8 @@ def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, flo
     """
     started = time.perf_counter()
     g = trial_graph(config, ti)
-    cadence = config.cadence.resolve(g.node_count)
     criterion = CrashCriterion(config.crash_epsilon)
-    intact_d = snapshot(g) if cadence.d_every is not None else UNMEASURED
+    intact_d = snapshot(g) if config.cadence.d_every is not None else None
     build = time.perf_counter() - started
     results = []
     for spec in config.strategies:
@@ -277,7 +243,7 @@ def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, flo
             g,
             spec.with_seed(config.base_seed + spec.seed + ti),
             budget=config.budget,
-            cadence=cadence,
+            cadence=config.cadence,
             early_stop=config.early_stop,
             criterion=criterion,
             intact_d=intact_d,

@@ -2,12 +2,12 @@
 
 The attack simulations never delete edges from the adjacency structure.
 A node is removed by flipping its live flag; the adjacency built at
-construction time stays immutable, so graphs can be copied cheaply and
-observables can be read off a removal order against it. Live degrees
-are maintained incrementally, so a crash costs O(degree) and a
-live-degree read O(1). The attack loop keeps its own copies of this
-crash state as plain lists and never mutates a graph; ``crash_node``
-serves callers that crash nodes one at a time.
+construction time stays immutable, so observables can be read off a
+removal order against it. Live degrees are maintained incrementally,
+so a crash costs O(degree) and a live-degree read O(1). The attack
+loop keeps its own copies of this crash state as plain lists and never
+mutates a graph; ``crash_node`` serves callers that crash nodes one at
+a time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class Graph:
     """Simple undirected graph supporting irreversible node crashes.
 
     Build instances through :func:`build_graph` or the generators module.
-    ``adjacency`` is shared between copies and must not be mutated.
+    ``adjacency`` must not be mutated.
     """
 
     __slots__ = (
@@ -58,20 +58,6 @@ class Graph:
         self.live_count = n
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
-
-    # -- construction helpers -------------------------------------------------
-
-    def copy(self) -> "Graph":
-        """Independent crash state over the same (shared) adjacency."""
-        g = Graph.__new__(Graph)
-        g.node_count = self.node_count
-        g.adjacency = self.adjacency
-        g.alive = list(self.alive)
-        g.live_degree = list(self.live_degree)
-        g.live_count = self.live_count
-        g.dropped_duplicates = self.dropped_duplicates
-        g.dropped_self_loops = self.dropped_self_loops
-        return g
 
     # -- basic queries ---------------------------------------------------------
 
@@ -114,19 +100,23 @@ class Graph:
         that ``live`` flags, or ValueError is raised. None for fewer than
         two members.
         """
-        ids = sorted(members)
-        for v in ids:
-            self._check_id(v)
-            if not live[v]:
-                raise ValueError(f"member {v} is crashed")
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate member ids")
-        if len(ids) < 2:
-            return None
+        import numpy as np
+
+        ids = np.fromiter(members, dtype=np.intp)
+        live = np.frombuffer(bytes(live), dtype=np.uint8)
+        # first, as numpy indexing would wrap a negative id
+        outside = (ids < 0) | (ids >= self.node_count)
+        if outside.any():
+            raise ValueError(f"node id {ids[outside].min()} outside [0, {self.node_count})")
+        crashed = live[ids] == 0
+        if crashed.any():
+            raise ValueError(f"member {ids[crashed].min()} is crashed")
         k = len(ids)
+        if k < 2:
+            return None
         return self._pair_distance_sum(ids, live) / (k * (k - 1))
 
-    def _pair_distance_sum(self, ids: list[int], live: Sequence) -> int:
+    def _pair_distance_sum(self, ids, live) -> int:
         """Ordered-pair hop total over a whole cluster, by bit-parallel BFS.
 
         Multi-source BFS (Then et al., VLDB 2014): each member is a BFS
@@ -139,21 +129,25 @@ class Graph:
         prefix of the numbering, and a level is one contiguous gather per
         column c < ``_COLUMNS``, ORed into that prefix. Only the
         neighbours of the hubs past those columns take a gather and an
-        OR-reduce. A live neighbour outside the members, a member with no
-        live neighbour, or a search that misses a member raises
-        ValueError.
+        OR-reduce. ``ids`` are the members in any order and ``live`` the
+        live flags, both as numpy arrays. A repeated member, a live
+        neighbour outside the members, a member with no live neighbour, or
+        a search that misses a member raises ValueError.
         """
         import numpy as np
 
         k = len(ids)
-        rows = [self.adjacency[v] for v in ids]
+        rows = [self.adjacency[v] for v in ids.tolist()]
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=k)
         flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
-        up = np.frombuffer(bytes(live), dtype=np.uint8)[flat] != 0
+        up = live[flat] != 0
         degree = np.bincount(np.repeat(np.arange(k), lengths)[up], minlength=k)
         order = np.argsort(-degree, kind="stable")
         local = np.full(self.node_count, -1, dtype=np.intp)
-        local[np.array(ids)[order]] = np.arange(k)
+        local[ids[order]] = np.arange(k)
+        # a repeated member takes one slot for two numbers
+        if np.count_nonzero(local >= 0) != k:
+            raise ValueError("duplicate member ids")
         # CSR of the live neighbours in the members' degree order, where
         # -1 is a non-member
         indices = local[flat[up]]

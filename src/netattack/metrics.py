@@ -14,21 +14,56 @@ and the largest cluster at each d row, off one reverse union-find pass
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from enum import Enum
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from .graph import Graph
 
 if TYPE_CHECKING:
-    from .attacks import AttackTrace, SnapshotCadence
+    from .attacks import AttackTrace
 
 Removals = Sequence[tuple[int, Sequence[int]]]
 
-# default of ``intact_d``: d of the intact graph is not known yet
-UNMEASURED = object()
+
+class _Default(Enum):
+    D_EVERY = "default"
+
+
+DEFAULT_D_EVERY = _Default.D_EVERY
+
+
+@dataclass(frozen=True)
+class SnapshotCadence:
+    """Where a run's curve is sampled: S every s_every removals, d every d_every.
+
+    S is known after every step at no extra cost, so s_every only sets
+    the resolution; None takes ceil(n/200) on an n-node graph. d is the
+    expensive observable: each evaluation runs a BFS from every cluster
+    member. ``d_every`` has three states: an int fixes it, None (JSON
+    null) turns d off, and ``DEFAULT_D_EVERY`` takes ceil(n/50). Only an
+    absent key reads as ``DEFAULT_D_EVERY``; no JSON value does, and
+    ``ExperimentConfig.to_json`` writes it by leaving the key out.
+    """
+
+    s_every: int | None = None
+    d_every: int | None | _Default = DEFAULT_D_EVERY
+
+    def __post_init__(self):
+        for name in ("s_every", "d_every"):
+            value = getattr(self, name)
+            if value is not None and value is not DEFAULT_D_EVERY and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
+    def resolve(self, n: int) -> "SnapshotCadence":
+        """The concrete cadence on an n-node graph; resolving it again changes nothing."""
+        s = max(1, math.ceil(n / 200)) if self.s_every is None else self.s_every
+        d = max(1, math.ceil(n / 50)) if self.d_every is DEFAULT_D_EVERY else self.d_every
+        return SnapshotCadence(s, d)
 
 
 @dataclass(frozen=True)
@@ -153,22 +188,24 @@ def snapshot(g: Graph) -> float | None:
 def measure(
     g: Graph,
     removals: Removals,
-    cadence: "SnapshotCadence",
+    cadence: SnapshotCadence,
     criterion: CrashCriterion,
     early_stop: bool,
     *,
-    intact_d: object = UNMEASURED,
-) -> tuple[list[MetricsRow], int | None, float | None]:
+    intact_d: float | None = None,
+) -> tuple[list[MetricsRow], int | None, float | None, float]:
     """Rows of S and d along a finished removal order of the fresh ``g``.
 
     ``removals`` is numbered from step 1, as an attack trace holds it.
-    Rows sit at step 0, at each step whose removal count crosses an
-    ``s_every`` or ``d_every`` mark, and at the final step. When
-    ``d_every`` is set, d is measured at step 0, at ``d_every`` crossings
-    and at the final step when it crosses no mark, on clusters read off
-    the pass that gives S; ``intact_d``, when given, is ``snapshot(g)``
-    already taken and serves as the step-0 d. With ``early_stop`` the order is cut at the first
-    row, the final one aside, whose S meets the criterion.
+    ``cadence`` is resolved against ``g``'s node count here. Rows sit at
+    step 0, at each step whose removal count crosses an ``s_every`` or
+    ``d_every`` mark, and at the final step. When ``d_every`` is set, d
+    is measured at step 0, at ``d_every`` crossings and at the final step
+    when it crosses no mark, on clusters read off the pass that gives S;
+    ``intact_d``, when not None, is ``snapshot(g)`` already taken and
+    serves as the step-0 d (a None snapshot is simply measured again).
+    With ``early_stop`` the order is cut at the first row, the final one
+    aside, whose S meets the criterion.
 
     Returns the rows, the number of batches kept by the cut (None when
     nothing was cut), the exact crash threshold (the removal fraction
@@ -176,6 +213,7 @@ def measure(
     seconds spent measuring d.
     """
     n = g.node_count
+    cadence = cadence.resolve(n)
     s_every, d_every = cadence.s_every, cadence.d_every
     with_d = d_every is not None
     # (step, measure d) per row; a step crosses a mark when the removal
@@ -191,7 +229,7 @@ def measure(
     d_steps = {step for step, due_d in marks if due_d}
     if with_d and marks[-1][0] != len(removals):
         d_steps.add(len(removals))
-    if intact_d is not UNMEASURED:
+    if intact_d is not None:
         d_steps.discard(0)
     sizes, clusters = giant_sizes(g.adjacency, removals, d_steps)
     counts = [0]  # built after the pass, which sets peak memory

@@ -8,17 +8,15 @@ be eyeballed without further tooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+_WIDTH = 720
+_HEIGHT = 460
+_X_LABEL = "f"
 
-
-@dataclass(frozen=True)
-class Series:
-    label: str
-    points: Sequence[tuple[float, float]]
+Curve = tuple[str, Sequence[tuple[float, float]]]
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -39,17 +37,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def render_line_chart(
-    series: Sequence[Series],
-    *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 720,
-    height: int = 460,
-) -> str:
-    """Render series to an SVG document string."""
-    pts = [p for s in series for p in s.points]
+def render_line_chart(series: Sequence[Curve], y_label: str) -> str:
+    """Render labelled (f, value) curves to an SVG document string."""
+    pts = [p for _, points in series for p in points]
     if not pts:
         raise ValueError("nothing to plot")
     x_lo = min(p[0] for p in pts)
@@ -64,6 +54,7 @@ def render_line_chart(
     y_lo -= pad_y
     y_hi += pad_y
 
+    width, height = _WIDTH, _HEIGHT
     left, right, top, bottom = 62, 16, 34, 48
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -81,11 +72,10 @@ def render_line_chart(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
+    out.append(
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{y_label} vs fraction removed</text>'
+    )
     for t in _nice_ticks(x_lo, x_hi):
         if t < x_lo or t > x_hi:
             continue
@@ -102,20 +92,18 @@ def render_line_chart(
                    f'y2="{y:.2f}" stroke="#333"/>')
         out.append(f'<text x="{left - 8}" y="{y + 4:.2f}" '
                    f'text-anchor="end">{t:g}</text>')
-    if x_label:
-        out.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        y_mid = top + plot_h / 2
-        out.append(
-            f'<text x="16" y="{y_mid:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {y_mid:.1f})">{y_label}</text>'
-        )
-    for i, s in enumerate(series):
+    out.append(
+        f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
+        f'text-anchor="middle">{_X_LABEL}</text>'
+    )
+    y_mid = top + plot_h / 2
+    out.append(
+        f'<text x="16" y="{y_mid:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {y_mid:.1f})">{y_label}</text>'
+    )
+    for i, (label, points) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in s.points)
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'
@@ -124,24 +112,17 @@ def render_line_chart(
         lx = left + plot_w - 150
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}">{s.label}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
     out.append("</svg>")
     return "\n".join(out)
 
 
-def write_chart(
-    path: str | Path,
-    curves: Iterable[tuple[str, Sequence[tuple[float, float]]]],
-    y_label: str,
-) -> bool:
+def write_chart(path: str | Path, curves: Iterable[Curve], y_label: str) -> bool:
     """Chart labelled (f, value) curves at ``path``, dropping empty ones.
 
     Returns whether anything was drawn; nothing is written otherwise.
     """
-    series = [Series(label, points) for label, points in curves if points]
+    series = [(label, points) for label, points in curves if points]
     if series:
-        svg = render_line_chart(
-            series, title=f"{y_label} vs fraction removed", x_label="f", y_label=y_label
-        )
-        Path(path).write_text(svg, encoding="utf-8")
+        Path(path).write_text(render_line_chart(series, y_label), encoding="utf-8")
     return bool(series)

@@ -7,8 +7,8 @@ from netattack import BaParams, generate_ba
 def ba10k():
     """Ten 10,000-node scale-free graphs, one per seed 0..9.
 
-    Generated once per test session; attack tests must copy() before
-    crashing anything.
+    Generated once per test session and shared, so no test may crash
+    their nodes; run_attack leaves its graph as it is.
     """
     return {seed: generate_ba(BaParams(10_000, 2, seed=seed)) for seed in range(10)}
 

@@ -83,7 +83,7 @@ class AttackLab:
             out = {}
             for seed, g in self.graphs.items():
                 out[seed] = run_attack(
-                    g.copy(),
+                    g,
                     spec.with_seed(spec.seed + seed),
                     budget=budget,
                     cadence=CAD_10K,
@@ -270,7 +270,7 @@ def test_criterion_07_hub_dominant_edge_list(tmp_path, criterion_report):
         for s in seeds:
             out.append(
                 run_attack(
-                    g.copy(),
+                    g,
                     spec.with_seed(spec.seed + s),
                     budget=budget,
                     cadence=cad,

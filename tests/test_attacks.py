@@ -12,6 +12,7 @@ import oracles
 from netattack import (
     BaParams,
     CrashCriterion,
+    ExperimentConfig,
     Graph,
     ProtectedRule,
     SnapshotCadence,
@@ -20,6 +21,7 @@ from netattack import (
     build_graph,
     build_protected_set,
     generate_ba,
+    materialize_graph,
     run_attack,
 )
 from netattack.attacks import (
@@ -241,16 +243,37 @@ class TestStrategySpec:
 
 class TestSnapshotCadence:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="s_every must be >= 1, got 0"):
             SnapshotCadence(s_every=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d_every must be >= 1, got 0"):
             SnapshotCadence(s_every=1, d_every=0)
+        assert SnapshotCadence(s_every=None, d_every=None).d_every is None
 
-    def test_default_for(self):
-        c = SnapshotCadence.default_for(10_000)
-        assert (c.s_every, c.d_every) == (50, 200)
-        c = SnapshotCadence.default_for(1)
-        assert (c.s_every, c.d_every) == (1, 1)
+    def test_resolve(self):
+        """None s_every takes ceil(n/200), the default d_every ceil(n/50), None turns d off."""
+        assert SnapshotCadence().resolve(10_000) == SnapshotCadence(50, 200)
+        assert SnapshotCadence().resolve(100) == SnapshotCadence(1, 2)
+        assert SnapshotCadence().resolve(1) == SnapshotCadence(1, 1)
+        assert SnapshotCadence(s_every=7).resolve(100) == SnapshotCadence(7, 2)
+        assert SnapshotCadence(d_every=None).resolve(100) == SnapshotCadence(1, None)
+        assert SnapshotCadence(d_every=9).resolve(100) == SnapshotCadence(1, 9)
+
+    @pytest.mark.parametrize("cadence", [{}, {"s_every": 7}, {"d_every": None}])
+    def test_run_attack_resolves_a_config_cadence(self, cadence):
+        config = ExperimentConfig.from_json(
+            {
+                "network": {"ba": {"n": 300, "m": 2}},
+                "strategies": [{"kind": "random_failure"}],
+                "snapshot_cadence": cadence,
+            }
+        )
+        g = materialize_graph(config.network, 0)
+        spec = config.strategies[0]
+        resolved = config.cadence.resolve(g.node_count)
+        trace = run_attack(g, spec, budget=0.5, cadence=config.cadence)
+        assert trace == run_attack(g, spec, budget=0.5, cadence=resolved)
+        with_d = any(row.cluster_diameter is not None for row in trace.snapshots)
+        assert with_d == (resolved.d_every is not None)
 
 
 def live_ids(g):
@@ -360,8 +383,8 @@ class TestRunAttack:
     def test_requires_fresh_graph_and_sane_budget(self):
         g = star_plus_tail()
         with pytest.raises(ValueError, match="budget"):
-            run_attack(g.copy(), StrategySpec("intentional"), budget=0.0)
-        g2 = g.copy()
+            run_attack(g, StrategySpec("intentional"), budget=0.0)
+        g2 = star_plus_tail()
         g2.crash_node(0)
         with pytest.raises(ValueError, match="fresh graph"):
             run_attack(g2, StrategySpec("intentional"))
@@ -399,7 +422,7 @@ class TestRunAttack:
         trace = run_attack(
             g,
             StrategySpec("intentional"),
-            cadence=SnapshotCadence(s_every=5),
+            cadence=SnapshotCadence(s_every=5, d_every=None),
             early_stop=True,
             criterion=CrashCriterion(0.05),
         )
@@ -491,7 +514,7 @@ class TestRunAttack:
         n = g.node_count
         adjacency = g.adjacency
         protected = build_protected_set(g, spec.protected, random.Random(spec.seed))
-        trace = run_attack(g, spec, cadence=SnapshotCadence(s_every=n))
+        trace = run_attack(g, spec, cadence=SnapshotCadence(s_every=n, d_every=None))
         alive = [True] * n
 
         def best(candidates):
@@ -622,7 +645,7 @@ class TestRunAttack:
             spec = kinds[trial % len(kinds)].with_seed(trial)
             budget = rng.choice([0.3, 0.7, 1.0])
             trace = run_attack(
-                g, spec, budget=budget, cadence=SnapshotCadence(s_every=3)
+                g, spec, budget=budget, cadence=SnapshotCadence(s_every=3, d_every=None)
             )
             removed = [v for _, ids in trace.removals for v in ids]
             assert len(removed) == len(set(removed)) == trace.removed_count
@@ -690,7 +713,8 @@ class TestRunAttack:
         """measure replays nothing, and runs the kernel once per d row."""
         g = generate_ba(BaParams(300, 2, seed=12))
         spec = StrategySpec("random_failure", seed=4)
-        removals = run_attack(g, spec, budget=0.4, cadence=SnapshotCadence(s_every=5)).removals
+        no_d = SnapshotCadence(s_every=5, d_every=None)
+        removals = run_attack(g, spec, budget=0.4, cadence=no_d).removals
         calls = []
         kernel = Graph.avg_shortest_path
 
@@ -702,9 +726,8 @@ class TestRunAttack:
             raise AssertionError("measure replays the removal order")
 
         monkeypatch.setattr(Graph, "avg_shortest_path", counted)
-        monkeypatch.setattr(Graph, "copy", replay)
         monkeypatch.setattr(Graph, "crash_node", replay)
-        rows, _, _, _ = measure(g, removals, SnapshotCadence(s_every=5), CrashCriterion(), False)
+        rows, _, _, _ = measure(g, removals, no_d, CrashCriterion(), False)
         assert len(rows) == 25
         assert calls == []
         with_d = SnapshotCadence(s_every=5, d_every=40)

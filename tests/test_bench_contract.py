@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import netattack
-from netattack import attacks, experiment
+from netattack import attacks
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,10 +50,13 @@ def test_frontier_counters_read_the_frontier_argument(tracer):
 
 
 def test_replay_check_entry_points_exist():
-    g = netattack.materialize_graph(("ba", 30, 2), 0)
+    config = netattack.ExperimentConfig.from_json(
+        {"network": {"ba": {"n": 30, "m": 2}}, "strategies": [{"kind": "intentional"}]}
+    )
+    g = netattack.materialize_graph(config.network, config.base_seed)
     assert g.live_neighbors(0) == set(g.adjacency[0])
-    cadence = experiment.CadencePolicy().resolve(g.node_count)
-    trace = netattack.run_attack(g, netattack.StrategySpec("intentional"), cadence=cadence)
+    cadence = config.cadence.resolve(g.node_count)
+    trace = netattack.run_attack(g, config.strategies[0], cadence=cadence)
     assert trace.removed_count == g.node_count
     assert trace.stop_reason == "graph_exhausted"
     assert trace.snapshots

@@ -7,6 +7,7 @@ from netattack import (
     BaParams,
     CrashCriterion,
     ExperimentConfig,
+    SnapshotCadence,
     StrategySpec,
     generate_ba,
     load_edge_list,
@@ -14,7 +15,6 @@ from netattack import (
     write_trace_csv,
 )
 from netattack.cli import main
-from netattack.experiment import CadencePolicy
 
 
 def write_config(path, **data):
@@ -63,7 +63,7 @@ class TestAttack:
             g,
             spec,
             budget=0.6,
-            cadence=CadencePolicy(s_every=5, d_every=None).resolve(150),
+            cadence=SnapshotCadence(s_every=5, d_every=None),
             criterion=CrashCriterion(0.01),
         )
         expect = tmp_path / "expect.csv"

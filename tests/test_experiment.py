@@ -11,7 +11,6 @@ import oracles
 from netattack import (
     AttackTrace,
     BaParams,
-    CadencePolicy,
     ConfigError,
     CrashCriterion,
     ExperimentConfig,
@@ -42,22 +41,10 @@ def small_config(**overrides) -> ExperimentConfig:
         trials=2,
         base_seed=5,
         budget=0.9,
-        cadence=CadencePolicy(s_every=5, d_every=25),
+        cadence=SnapshotCadence(s_every=5, d_every=25),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestCadencePolicy:
-    def test_resolve_defaults(self):
-        c = CadencePolicy().resolve(10_000)
-        assert (c.s_every, c.d_every) == (50, 200)
-
-    def test_resolve_explicit_and_disabled(self):
-        assert CadencePolicy(s_every=7).resolve(100).s_every == 7
-        assert CadencePolicy(d_every=None).resolve(100).d_every is None
-        assert CadencePolicy().resolve(100).d_every == 2
-        assert CadencePolicy(d_every=9).resolve(100).d_every == 9
 
 
 class TestConfigValidation:
@@ -92,9 +79,9 @@ def experiment_configs(draw) -> ExperimentConfig:
     cadence = draw(
         st.sampled_from(
             [
-                CadencePolicy(s_every),  # d_every absent: the default cadence
-                CadencePolicy(s_every, d_every=draw(st.integers(1, 10**4))),
-                CadencePolicy(s_every, d_every=None),  # d_every null: no d
+                SnapshotCadence(s_every),  # d_every absent: the default cadence
+                SnapshotCadence(s_every, d_every=draw(st.integers(1, 10**4))),
+                SnapshotCadence(s_every, d_every=None),  # d_every null: no d
             ]
         )
     )
@@ -124,11 +111,15 @@ class TestConfigJson:
     @given(experiment_configs())
     def test_json_round_trip(self, cfg):
         assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        # a resolved cadence is concrete, so no node count changes it again
+        n = cfg.network[1] if cfg.network[0] == "ba" else 10_000
+        resolved = cfg.cadence.resolve(n)
+        assert resolved.resolve(n) == resolved.resolve(1) == resolved
 
     def test_disabled_d_is_written_as_null(self):
-        cfg = small_config(cadence=CadencePolicy(d_every=None))
+        cfg = small_config(cadence=SnapshotCadence(d_every=None))
         assert cfg.to_json()["snapshot_cadence"]["d_every"] is None
-        default = small_config(cadence=CadencePolicy()).to_json()["snapshot_cadence"]
+        default = small_config(cadence=SnapshotCadence()).to_json()["snapshot_cadence"]
         assert "d_every" not in default
 
     def test_happy_path(self, tmp_path):
@@ -239,7 +230,7 @@ class TestTraceCsv:
         trace = run_attack(
             g,
             StrategySpec("intentional"),
-            cadence=SnapshotCadence(s_every=4),
+            cadence=SnapshotCadence(s_every=4, d_every=None),
             budget=0.5,
         )
         path = tmp_path / "t.csv"
@@ -305,7 +296,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(experiment_mod, "snapshot", recording)
         monkeypatch.setattr(metrics_mod, "snapshot", recording)
-        cadence = CadencePolicy(s_every=5, d_every=d_every)
+        cadence = SnapshotCadence(s_every=5, d_every=d_every)
         cfg = small_config(strategies=THREE_STRATEGIES, trials=3, cadence=cadence)
         results = run_trials(cfg)
         assert len(intact) == 3 * per_trial
@@ -333,7 +324,7 @@ class TestRunTrials:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", RecordingPool)
-        cfg = small_config(trials=3, cadence=CadencePolicy(s_every=10, d_every=None))
+        cfg = small_config(trials=3, cadence=SnapshotCadence(s_every=10, d_every=None))
         wide = run_trials(cfg, threads=8)
         assert opened == [3]
         run_trials(cfg, threads=2)

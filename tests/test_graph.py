@@ -65,14 +65,6 @@ class TestCrash:
         with pytest.raises(ValueError, match="outside"):
             g.live_neighbors(-1)
 
-    def test_copy_isolates_state(self):
-        g = path_graph(4)
-        h = g.copy()
-        h.crash_node(0)
-        assert g.live_count == 4
-        assert h.live_count == 3
-        assert g.adjacency is h.adjacency  # topology is shared, state is not
-
 
 class TestDegreeTracking:
     def test_against_recount_under_random_crashes(self):
@@ -98,7 +90,7 @@ def clusters_at_every_step(g: Graph, removals) -> dict:
 class TestClusters:
     def test_fraction_uses_original_node_count(self):
         g = path_graph(3)
-        cadence = SnapshotCadence(s_every=1)
+        cadence = SnapshotCadence(s_every=1, d_every=None)
         rows, _, _, _ = measure(g, [(1, (1,))], cadence, CrashCriterion(), early_stop=False)
         assert rows[-1].giant_fraction == pytest.approx(1 / 3)
         members, live = clusters_at_every_step(g, [(1, (1,))])[1]
@@ -153,12 +145,22 @@ class TestAvgShortestPath:
     def test_rejects_crashed_and_duplicate_members(self):
         g = path_graph(3)
         g.crash_node(2)
-        with pytest.raises(ValueError, match="crashed"):
+        with pytest.raises(ValueError, match="member 2 is crashed"):
             g.avg_shortest_path([1, 2], g.alive)
+        with pytest.raises(ValueError, match="member 2 is crashed"):
+            g.avg_shortest_path([2], g.alive)
         with pytest.raises(ValueError, match="duplicate"):
             g.avg_shortest_path([0, 0], g.alive)
         with pytest.raises(ValueError, match="duplicate"):
             g.avg_shortest_path([0, 1, 0], g.alive)
+
+    def test_rejects_ids_outside_the_graph(self):
+        g = path_graph(3)
+        # -1 would index node 2, a live neighbour of 1
+        for members in ([1, -1], [-1], [0, 3], [3]):
+            bad = members[-1]
+            with pytest.raises(ValueError, match=rf"node id {bad} outside \[0, 3\)"):
+                g.avg_shortest_path(members, g.alive)
 
     def test_rejects_disconnected_members(self):
         cases = [
