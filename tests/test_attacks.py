@@ -249,11 +249,16 @@ class TestSnapshotCadence:
             SnapshotCadence(s_every=1, d_every=0)
         assert SnapshotCadence(s_every=None, d_every=None).d_every is None
 
-    def test_resolve(self):
-        """None s_every takes ceil(n/200), the default d_every ceil(n/50), None turns d off."""
-        assert SnapshotCadence().resolve(10_000) == SnapshotCadence(50, 200)
+    def test_default_for(self):
+        """None s_every takes ceil(n/200), the default d_every ceil(n/50)."""
+        c = SnapshotCadence().resolve(10_000)
+        assert (c.s_every, c.d_every) == (50, 200)
         assert SnapshotCadence().resolve(100) == SnapshotCadence(1, 2)
-        assert SnapshotCadence().resolve(1) == SnapshotCadence(1, 1)
+        c = SnapshotCadence().resolve(1)
+        assert (c.s_every, c.d_every) == (1, 1)
+
+    def test_resolve(self):
+        """Explicit values pass through; None d_every turns d off."""
         assert SnapshotCadence(s_every=7).resolve(100) == SnapshotCadence(7, 2)
         assert SnapshotCadence(d_every=None).resolve(100) == SnapshotCadence(1, None)
         assert SnapshotCadence(d_every=9).resolve(100) == SnapshotCadence(1, 9)

@@ -47,6 +47,30 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def config_cadence(snapshot_cadence: dict) -> SnapshotCadence:
+    return ExperimentConfig.from_json(
+        {
+            "network": {"ba": {"n": 100, "m": 2}},
+            "strategies": [{"kind": "intentional"}],
+            "snapshot_cadence": snapshot_cadence,
+        }
+    ).cadence
+
+
+class TestCadencePolicy:
+    """The config's snapshot_cadence, as read from JSON, resolved against n."""
+
+    def test_resolve_defaults(self):
+        c = config_cadence({}).resolve(10_000)
+        assert (c.s_every, c.d_every) == (50, 200)
+
+    def test_resolve_explicit_and_disabled(self):
+        assert config_cadence({"s_every": 7}).resolve(100).s_every == 7
+        assert config_cadence({"d_every": None}).resolve(100).d_every is None
+        assert config_cadence({}).resolve(100).d_every == 2
+        assert config_cadence({"d_every": 9}).resolve(100).d_every == 9
+
+
 class TestConfigValidation:
     def test_needs_strategies(self):
         with pytest.raises(ConfigError, match="at least one strategy"):
