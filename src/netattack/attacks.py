@@ -276,7 +276,7 @@ def run_attack(
     budget: float = 1.0,
     cadence: SnapshotCadence = SnapshotCadence(),
     early_stop: bool = False,
-    criterion: CrashCriterion | None = None,
+    criterion: CrashCriterion = CrashCriterion(),
     intact_d: float | None = None,
 ) -> AttackTrace:
     """Drive one attack to its stopping point, then measure it.
@@ -302,8 +302,6 @@ def run_attack(
         raise ValueError("graph has no live nodes")
     if g.live_count != g.node_count:
         raise ValueError("run_attack needs a fresh graph (no crashed nodes)")
-    if criterion is None:
-        criterion = CrashCriterion()
     started = time.perf_counter()
     removals, stop_reason = _removal_order(g, spec, budget)
     ordered = time.perf_counter()

@@ -19,12 +19,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .attacks import run_attack
 from .experiment import (
-    ConfigError, ExperimentConfig, run_experiment, trial_graph, write_trace_csv
+    ConfigError, ExperimentConfig, attack_trial, run_experiment, trial_graph, write_trace_csv
 )
 from .generators import BaParams, generate_ba, write_edge_list
-from .metrics import CrashCriterion
 from ._version import __version__
 
 
@@ -89,15 +87,7 @@ def _cmd_generate(args) -> int:
 def _cmd_attack(args) -> int:
     config = _load_config(args)
     spec = config.strategies[0]
-    g = trial_graph(config, 0)
-    trace = run_attack(
-        g,
-        spec.with_seed(config.base_seed + spec.seed),
-        budget=config.budget,
-        cadence=config.cadence,
-        early_stop=config.early_stop,
-        criterion=CrashCriterion(config.crash_epsilon),
-    )
+    trace = attack_trial(config, trial_graph(config, 0), spec, 0)
     if args.out is not None:
         out = Path(args.out)
     else:

@@ -26,7 +26,6 @@ from .metrics import (
     SnapshotCadence,
     crash_threshold,
     curve_export,
-    snapshot,
     threshold_stats,
     write_curve_csv,
 )
@@ -224,52 +223,53 @@ def write_trace_csv(path: str | Path, trace: AttackTrace) -> None:
             fh.write(f"{step},{joined},{f_val!r},{s_val},{d_val}\n")
 
 
-def _trial_job(config: ExperimentConfig, ti: int) -> list[tuple[AttackTrace, float, float]]:
-    """Every strategy of trial ``ti``, in config order, on one graph.
+def attack_trial(
+    config: ExperimentConfig, g: Graph, spec: StrategySpec, ti: int, intact_d: float | None = None
+) -> AttackTrace:
+    """``spec``'s attack in trial ``ti`` on that trial's fresh graph ``g``.
 
-    No attack mutates the graph, so it stays fresh between strategies;
-    the intact graph's d is measured once and shared. Each result is
-    (trace, attack seconds, seconds to build the graph and its intact d).
+    The config gives the attack seed (``base_seed + spec.seed + ti``),
+    the budget, the cadence, early stop and the crash criterion;
+    ``intact_d`` is passed on to :func:`run_attack`.
+    """
+    return run_attack(
+        g,
+        spec.with_seed(config.base_seed + spec.seed + ti),
+        budget=config.budget,
+        cadence=config.cadence,
+        early_stop=config.early_stop,
+        criterion=CrashCriterion(config.crash_epsilon),
+        intact_d=intact_d,
+    )
+
+
+def _trial_job(config: ExperimentConfig, ti: int) -> tuple[float, list[AttackTrace]]:
+    """Trial ``ti``: seconds to build its graph, and its traces in config order.
+
+    Every strategy runs on the one graph, which no attack mutates. The
+    first measures the intact d at its step 0, and the rest take that
+    value as theirs.
     """
     started = time.perf_counter()
     g = trial_graph(config, ti)
-    criterion = CrashCriterion(config.crash_epsilon)
-    intact_d = snapshot(g) if config.cadence.d_every is not None else None
-    build = time.perf_counter() - started
-    results = []
-    for spec in config.strategies:
-        started = time.perf_counter()
-        trace = run_attack(
-            g,
-            spec.with_seed(config.base_seed + spec.seed + ti),
-            budget=config.budget,
-            cadence=config.cadence,
-            early_stop=config.early_stop,
-            criterion=criterion,
-            intact_d=intact_d,
-        )
-        results.append((trace, time.perf_counter() - started, build))
-    return results
+    build_s = time.perf_counter() - started
+    first, *rest = config.strategies
+    traces = [attack_trial(config, g, first, ti)]
+    intact_d = traces[0].snapshots[0].cluster_diameter
+    traces += [attack_trial(config, g, spec, ti, intact_d) for spec in rest]
+    return build_s, traces
 
 
-def run_trials(
-    config: ExperimentConfig, threads: int = 1
-) -> dict[tuple[int, int], tuple[AttackTrace, float, float]]:
-    """Execute the full (strategy x trial) grid, deterministically keyed.
+def run_trials(config: ExperimentConfig, threads: int = 1) -> list[tuple[float, list[AttackTrace]]]:
+    """One ``(build_s, traces)`` pair per trial, in trial order.
 
     Workers split the trials; each builds its trial's graph once.
     """
     trials = range(config.trials)
     if threads <= 1 or len(trials) == 1:
-        per_trial = [_trial_job(config, ti) for ti in trials]
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(trials))) as pool:
-            per_trial = list(pool.map(_trial_job, repeat(config), trials))
-    return {
-        (si, ti): per_trial[ti][si]
-        for si in range(len(config.strategies))
-        for ti in trials
-    }
+        return [_trial_job(config, ti) for ti in trials]
+    with ProcessPoolExecutor(max_workers=min(threads, len(trials))) as pool:
+        return list(pool.map(_trial_job, repeat(config), trials))
 
 
 def run_experiment(
@@ -289,7 +289,7 @@ def run_experiment(
             raise ConfigError("no output directory (config output_dir or --out)")
         out = Path(config.output_dir)
     started = time.perf_counter()
-    results = run_trials(config, threads=threads)
+    per_trial = run_trials(config, threads=threads)
     criterion = CrashCriterion(config.crash_epsilon)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -299,7 +299,7 @@ def run_experiment(
         threshold_rows = []
         all_points = {}
         for si, spec in enumerate(config.strategies):
-            traces = [results[(si, ti)][0] for ti in range(config.trials)]
+            traces = [trial[si] for _, trial in per_trial]
             points = curve_export(traces)
             all_points[spec.label] = points
             curve_path = out / f"{spec.label}.curve.csv"
@@ -308,8 +308,7 @@ def run_experiment(
             values = [crash_threshold(t, criterion) for t in traces]
             mean, std, count = threshold_stats(values)
             threshold_rows.append((spec.label, mean, std, count))
-            for ti in range(config.trials):
-                trace, wall, build = results[(si, ti)]
+            for ti, ((build_s, _), trace) in enumerate(zip(per_trial, traces)):
                 trial_rows.append(
                     {
                         "strategy": spec.label,
@@ -321,11 +320,11 @@ def run_experiment(
                         "final_S": trace.final.giant_fraction,
                         "crash_threshold": values[ti],
                         "exact_crash_threshold": trace.exact_crash_threshold,
-                        "build_s": round(build, 3),
+                        "build_s": round(build_s, 3),
                         "order_s": round(trace.order_s, 3),
                         "measure_s": round(trace.measure_s, 3),
                         "d_s": round(trace.d_s, 3),
-                        "wall_time_s": round(wall, 3),
+                        "wall_time_s": round(trace.order_s + trace.measure_s, 3),
                     }
                 )
 

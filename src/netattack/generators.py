@@ -63,7 +63,8 @@ def generate_ba(params: BaParams) -> Graph:
 
 def degree_histogram(g: Graph) -> dict[int, int]:
     """Live-degree counts over live nodes, keys ascending."""
-    counts = Counter(d for d, up in zip(g.live_degree, g.alive) if up)
+    alive = g.alive
+    counts = Counter(sum(alive[u] for u in nbrs) for nbrs, up in zip(g.adjacency, alive) if up)
     return dict(sorted(counts.items()))
 
 

@@ -3,11 +3,9 @@
 The attack simulations never delete edges from the adjacency structure.
 A node is removed by flipping its live flag; the adjacency built at
 construction time stays immutable, so observables can be read off a
-removal order against it. Live degrees are maintained incrementally,
-so a crash costs O(degree) and a live-degree read O(1). The attack
-loop keeps its own copies of this crash state as plain lists and never
-mutates a graph; ``crash_node`` serves callers that crash nodes one at
-a time.
+removal order against it. The attack loop keeps its own crash state as
+plain lists and never mutates a graph; ``crash_node`` serves callers
+that crash nodes one at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ class Graph:
         "node_count",
         "adjacency",
         "alive",
-        "live_degree",
         "live_count",
         "dropped_duplicates",
         "dropped_self_loops",
@@ -54,7 +51,6 @@ class Graph:
         self.node_count = n
         self.adjacency = adjacency
         self.alive = [True] * n
-        self.live_degree = [len(nbrs) for nbrs in adjacency]
         self.live_count = n
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
@@ -78,18 +74,12 @@ class Graph:
     # -- mutation ----------------------------------------------------------------
 
     def crash_node(self, v: int) -> None:
-        """Remove a live node and detach it from every live neighbor."""
+        """Remove a live node; its edges stay in ``adjacency``."""
         self._check_id(v)
         if not self.alive[v]:
             raise ValueError(f"node {v} already crashed")
         self.alive[v] = False
-        self.live_degree[v] = 0
         self.live_count -= 1
-        alive = self.alive
-        degree = self.live_degree
-        for u in self.adjacency[v]:
-            if alive[u]:
-                degree[u] -= 1
 
     # -- distances ----------------------------------------------------------------
 

@@ -51,7 +51,7 @@ def degree_heap(g, nodes):
 
 def heap_key(g, v):
     """The int key of node ``v`` at its live degree: ``v - degree * n``."""
-    return v - g.live_degree[v] * g.node_count
+    return v - oracles.live_degree(g.adjacency, g.alive, v) * g.node_count
 
 
 def decode(key, n):
@@ -60,8 +60,10 @@ def decode(key, n):
 
 
 def pick(select, g, heap, *rest):
-    """Call a heap selector on g's crash state."""
-    return select(g.alive, heap, g.live_degree, *rest)
+    """Call a heap selector on g's crash state, crashed nodes at degree 0."""
+    alive = g.alive
+    degree = [oracles.live_degree(g.adjacency, alive, v) if up else 0 for v, up in enumerate(alive)]
+    return select(alive, heap, degree, *rest)
 
 
 def star_plus_tail(spokes: int = 5, tail: int = 3):
@@ -371,7 +373,7 @@ class TestSelectors:
         # strip the hub's live degree to 1 without touching its map degree
         for v in (2, 3, 4, 5):
             g.crash_node(v)
-        assert g.live_degree[0] == 1
+        assert oracles.live_degree(g.adjacency, g.alive, 0) == 1
         assert len(g.adjacency[0]) == 5
         assert step_lower_bounded(g.alive, [2, 3, 4, 5], g.adjacency, threshold=3) == [0]
         assert step_lower_bounded(g.alive, [2, 3, 4, 5], g.adjacency, threshold=5) == []

@@ -9,6 +9,7 @@ check calls a few public functions directly.
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,14 +50,28 @@ def test_frontier_counters_read_the_frontier_argument(tracer):
     assert second == {"coordinated": "heap", "lower_bounded_parallel": "last_batch"}
 
 
-def test_replay_check_entry_points_exist():
+def test_replay_check_entry_points_exist(tracer):
+    """The calls ``bench/check.py`` makes, and the graph field the
+    tracer's snapshot counter reads."""
     config = netattack.ExperimentConfig.from_json(
         {"network": {"ba": {"n": 30, "m": 2}}, "strategies": [{"kind": "intentional"}]}
     )
     g = netattack.materialize_graph(config.network, config.base_seed)
     assert g.live_neighbors(0) == set(g.adjacency[0])
-    cadence = config.cadence.resolve(g.node_count)
-    trace = netattack.run_attack(g, config.strategies[0], cadence=cadence)
+    spec = config.strategies[0]
+    trace = netattack.run_attack(
+        g,
+        spec.with_seed(config.base_seed + spec.seed),
+        budget=config.budget,
+        cadence=config.cadence.resolve(g.node_count),
+        early_stop=config.early_stop,
+        criterion=netattack.CrashCriterion(config.crash_epsilon),
+    )
     assert trace.removed_count == g.node_count
     assert trace.stop_reason == "graph_exhausted"
     assert trace.snapshots
+    d = netattack.snapshot(g)
+    assert d == trace.snapshots[0].cluster_diameter
+    counts = Counter()
+    tracer._count_snapshot(counts, d, (g,), {})
+    assert counts["s_nodes_scanned"] == g.live_count == g.node_count

@@ -14,6 +14,7 @@ from netattack import (
     ConfigError,
     CrashCriterion,
     ExperimentConfig,
+    Graph,
     ProtectedRule,
     SnapshotCadence,
     StrategySpec,
@@ -287,10 +288,12 @@ class TestRunTrials:
         cfg = small_config()
         seq = run_trials(cfg, threads=1)
         par = run_trials(cfg, threads=4)
-        assert set(seq) == {(si, ti) for si in range(2) for ti in range(2)}
-        for key in seq:
-            assert seq[key][0].removals == par[key][0].removals
-            assert seq[key][0].snapshots == par[key][0].snapshots
+        labels = [spec.label for spec in cfg.strategies]
+        assert [[t.strategy_key for t in traces] for _, traces in seq] == [labels] * 2
+        for (_, seq_traces), (_, par_traces) in zip(seq, par, strict=True):
+            for a, b in zip(seq_traces, par_traces, strict=True):
+                assert a.removals == b.removals
+                assert a.snapshots == b.snapshots
 
     def test_one_graph_per_trial_stays_fresh(self, monkeypatch):
         built = []
@@ -307,27 +310,36 @@ class TestRunTrials:
         for _, g in built:
             assert g.live_count == g.node_count
             assert all(g.alive)
-        assert set(results) == {(si, ti) for si in range(3) for ti in range(4)}
+        assert [len(traces) for _, traces in results] == [3] * 4
 
     @pytest.mark.parametrize("d_every, per_trial", [(25, 1), (None, 0)])
     def test_intact_d_measured_once_per_trial(self, monkeypatch, d_every, per_trial):
+        """The d kernel runs on the intact cluster once per trial, in the
+        first strategy's measure, and a sweep never calls snapshot."""
         intact = []
+        kernel = Graph.avg_shortest_path
 
-        def recording(g):
-            if g.live_count == g.node_count:
+        def recording(g, members, live):
+            if all(live):
                 intact.append(g.node_count)
-            return snapshot(g)
+            return kernel(g, members, live)
 
-        monkeypatch.setattr(experiment_mod, "snapshot", recording)
-        monkeypatch.setattr(metrics_mod, "snapshot", recording)
+        def unused(g):
+            raise AssertionError("a sweep takes the intact d from measure")
+
+        monkeypatch.setattr(Graph, "avg_shortest_path", recording)
+        monkeypatch.setattr(metrics_mod, "snapshot", unused)
+        assert not hasattr(experiment_mod, "snapshot")
         cadence = SnapshotCadence(s_every=5, d_every=d_every)
         cfg = small_config(strategies=THREE_STRATEGIES, trials=3, cadence=cadence)
         results = run_trials(cfg)
         assert len(intact) == 3 * per_trial
-        for trace, *_ in results.values():
-            first = trace.snapshots[0]
-            assert first.step == 0
-            assert (first.cluster_diameter is not None) == (d_every is not None)
+        for _, traces in results:
+            for trace in traces:
+                first = trace.snapshots[0]
+                assert first.step == 0
+                assert (first.cluster_diameter is not None) == (d_every is not None)
+            assert len({trace.snapshots[0].cluster_diameter for trace in traces}) == 1
 
     def test_pool_capped_at_trial_count(self, monkeypatch):
         opened = []
@@ -355,7 +367,7 @@ class TestRunTrials:
         assert opened == [3, 2]
         serial = run_trials(cfg, threads=1)
         assert opened == [3, 2]
-        assert {k: v[0] for k, v in wide.items()} == {k: v[0] for k, v in serial.items()}
+        assert [traces for _, traces in wide] == [traces for _, traces in serial]
 
 
 class TestSharedIntactD:
@@ -435,7 +447,8 @@ class TestRunExperiment:
         row = manifest["trials"][0]
         assert row["graph_seed"] == 5 and row["attack_seed"] == 5
         assert {"strategy", "stop_reason", "removed", "final_S", "crash_threshold"} <= set(row)
-        trace = run_trials(cfg)[(0, 0)][0]
+        _, traces = run_trials(cfg)[0]
+        trace = traces[0]
         assert row["exact_crash_threshold"] == trace.exact_crash_threshold is not None
         assert "exact" not in (out / "thresholds.csv").read_text()
         labels = {t["strategy"] for t in manifest["thresholds"]}
@@ -458,17 +471,19 @@ class TestRunExperiment:
         manifest = run_experiment(cfg, output_dir=tmp_path / "timed")
         for row in manifest["trials"]:
             assert row["build_s"] >= 0 and row["order_s"] >= 0 and row["measure_s"] >= 0
-            # each value is rounded to the millisecond on its own
-            assert row["order_s"] + row["measure_s"] <= row["wall_time_s"] + 0.0015
+            # the attack's wall time is its two phases, each rounded to
+            # the millisecond on its own
+            assert abs(row["order_s"] + row["measure_s"] - row["wall_time_s"]) <= 0.0015
             # d rows are a part of the measuring, and rounding keeps the order
             assert 0 <= row["d_s"] <= row["measure_s"]
         for ti in range(cfg.trials):
             builds = {row["build_s"] for row in manifest["trials"] if row["trial"] == ti}
             assert len(builds) == 1  # one graph per trial
-        for trace, wall, build in run_trials(cfg).values():
-            assert 0 < trace.order_s + trace.measure_s <= wall
-            assert 0 < trace.d_s <= trace.measure_s
-            assert build > 0
+        for build_s, traces in run_trials(cfg):
+            assert build_s > 0
+            for trace in traces:
+                assert 0 < trace.order_s + trace.measure_s
+                assert 0 < trace.d_s <= trace.measure_s
         ticks = iter(range(10**6))
         # a clock that leaps 1000 s per read changes every time, not one CSV byte
         monkeypatch.setattr("time.perf_counter", lambda: 1000.0 * next(ticks))

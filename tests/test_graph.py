@@ -47,7 +47,7 @@ class TestCrash:
         g.crash_node(1)
         assert g.live_count == 2
         assert not g.alive[1]
-        assert g.live_degree[0] == 0
+        assert oracles.live_degree(g.adjacency, g.alive, 0) == 0
         assert g.live_neighbors(0) == set()
         # neighbors of a crashed node are still queryable
         assert g.live_neighbors(1) == {0, 2}
@@ -74,11 +74,14 @@ class TestDegreeTracking:
             g = build_graph(n, oracles.random_edges(rng, n, 0.4))
             order = list(range(n))
             rng.shuffle(order)
-            for v in order[: rng.randrange(n)]:
+            crashed = order[: rng.randrange(n)]
+            for v in crashed:
                 g.crash_node(v)
+            assert g.live_count == n - len(crashed)
             for v in range(n):
-                want = oracles.live_degree(g.adjacency, g.alive, v) if g.alive[v] else 0
-                assert g.live_degree[v] == want
+                assert g.alive[v] == (v not in crashed)
+                want = oracles.live_degree(g.adjacency, g.alive, v)
+                assert len(g.live_neighbors(v)) == want
 
 
 def clusters_at_every_step(g: Graph, removals) -> dict:
