@@ -324,7 +324,6 @@ def run_experiment(
                         "order_s": round(trace.order_s, 3),
                         "measure_s": round(trace.measure_s, 3),
                         "d_s": round(trace.d_s, 3),
-                        "wall_time_s": round(trace.order_s + trace.measure_s, 3),
                     }
                 )
 

@@ -78,18 +78,8 @@ def load_edge_list(path: str | Path) -> tuple[Graph, list[str]]:
     the 1-based line number.
     """
     path = Path(path)
-    labels: list[str] = []
     index: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
-
-    def intern(tok: str) -> int:
-        i = index.get(tok)
-        if i is None:
-            i = len(labels)
-            index[tok] = i
-            labels.append(tok)
-        return i
-
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -100,8 +90,9 @@ def load_edge_list(path: str | Path) -> tuple[Graph, list[str]]:
                 raise ValueError(
                     f"{path}:{lineno}: expected two labels, got {len(parts)}"
                 )
-            pairs.append((intern(parts[0]), intern(parts[1])))
-    return build_graph(len(labels), pairs), labels
+            a, b = parts
+            pairs.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+    return build_graph(len(index), pairs), list(index)
 
 
 def write_edge_list(

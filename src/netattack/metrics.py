@@ -9,7 +9,7 @@ here, i.e. the average shortest path length inside the biggest cluster
 Every observable is a function of the removal order alone, so an attack
 first runs to its end and :func:`measure` then reads S after every step,
 and the largest cluster at each d row, off one reverse union-find pass
-(:func:`giant_sizes`).
+(:func:`giant_sizes`), whose roots give each d row's members.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def giant_sizes(
     ValueError.
 
     At each step in ``cluster_steps`` the pass also reads off that
-    cluster, as its members and the live mask at that step.
+    cluster, as its ascending ids (the live nodes under its root) and
+    the live mask at that step.
     """
     n = len(adjacency)
     removed = bytearray(n)
@@ -143,35 +144,25 @@ def giant_sizes(
         step = len(removals) - i
         sizes[step] = best
         if step in cluster_steps:
-            members = _cluster_of_size(adjacency, parent, size, present, best)
+            members = _cluster_of_size(parent, size, present, best)
             clusters[step] = members, bytes(present)
     return sizes, clusters
 
 
-def _cluster_of_size(adjacency, parent, size, present, best: int) -> list[int]:
-    """Members of the first size-``best`` cluster in live-id order.
+def _cluster_of_size(parent, size, present, best: int) -> list[int]:
+    """Ascending ids of the first size-``best`` cluster, read off the roots.
 
-    So a size tie goes to the cluster holding the smallest id. Empty when
-    no node is live.
+    First in live-id order, so a size tie goes to the cluster holding the
+    smallest id. Empty when no node is live.
     """
-    for s in range(len(adjacency)):
-        if present[s]:
-            root = s
-            while parent[root] != root:
-                root = parent[root]
-            if size[root] == best:
-                break
-    else:
-        return []
-    seen = bytearray(len(adjacency))
-    seen[s] = 1
-    members = [s]
-    for v in members:
-        for u in adjacency[v]:
-            if present[u] and not seen[u]:
-                seen[u] = 1
-                members.append(u)
-    return members
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    roots = [find(v) if up else -1 for v, up in enumerate(present)]
+    root = next((r for r in roots if r >= 0 and size[r] == best), -1)
+    return [v for v, r in enumerate(roots) if r == root] if root >= 0 else []
 
 
 def snapshot(g: Graph) -> float | None:
@@ -357,9 +348,9 @@ def curve_export(traces: Sequence["AttackTrace"]) -> list[CurvePoint]:
             CurvePoint(
                 f=f,
                 s_mean=statistics.fmean(s_vals),
-                s_std=statistics.pstdev(s_vals),
+                s_std=_pstdev(s_vals),
                 d_mean=statistics.fmean(d_vals) if d_vals else None,
-                d_std=statistics.pstdev(d_vals) if d_vals else None,
+                d_std=_pstdev(d_vals) if d_vals else None,
                 n_samples=len(s_vals),
             )
         )
@@ -385,9 +376,27 @@ def write_curve_csv(path, points: Iterable[CurvePoint], n_traces: int) -> None:
             )
 
 
+def _pstdev(xs: Sequence[float]) -> float:
+    """Population std of ``xs``: the exact variance's root, correctly rounded.
+
+    As ``statistics.pstdev`` from Python 3.11 on (3.10 rounds twice), but
+    in integers, so no CSV depends on the Python version. On the largest
+    denominator 2**k the variance is num / (n * 2**k)**2; its root is
+    taken to 109 bits, rounded to odd so the one rounding to float is right.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    ints = [a * (den // d) for a, d in ratios]
+    num, m = len(ints) * sum(i * i for i in ints) - sum(ints) ** 2, len(ints) ** 2
+    q = (num.bit_length() - m.bit_length() - 109) // 2
+    num, m = (num, m << 2 * q) if q >= 0 else (num << -2 * q, m)
+    root = math.isqrt(num // m)
+    return math.ldexp(root | (root * root * m != num), q - den.bit_length() + 1)
+
+
 def threshold_stats(values: Sequence[float]) -> tuple[float | None, float | None, int]:
     """(mean, population std, count) over the present threshold values."""
     vals = [v for v in values if v is not None]
     if not vals:
         return None, None, 0
-    return statistics.fmean(vals), statistics.pstdev(vals), len(vals)
+    return statistics.fmean(vals), _pstdev(vals), len(vals)

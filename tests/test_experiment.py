@@ -471,9 +471,6 @@ class TestRunExperiment:
         manifest = run_experiment(cfg, output_dir=tmp_path / "timed")
         for row in manifest["trials"]:
             assert row["build_s"] >= 0 and row["order_s"] >= 0 and row["measure_s"] >= 0
-            # the attack's wall time is its two phases, each rounded to
-            # the millisecond on its own
-            assert abs(row["order_s"] + row["measure_s"] - row["wall_time_s"]) <= 0.0015
             # d rows are a part of the measuring, and rounding keeps the order
             assert 0 <= row["d_s"] <= row["measure_s"]
         for ti in range(cfg.trials):
