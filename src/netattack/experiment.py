@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
@@ -268,6 +267,9 @@ def run_trials(config: ExperimentConfig, threads: int = 1) -> list[tuple[float, 
     trials = range(config.trials)
     if threads <= 1 or len(trials) == 1:
         return [_trial_job(config, ti) for ti in trials]
+    # imported here, so a one-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(threads, len(trials))) as pool:
         return list(pool.map(_trial_job, repeat(config), trials))
 

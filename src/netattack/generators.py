@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable
 
@@ -37,27 +38,34 @@ def generate_ba(params: BaParams) -> Graph:
     probability proportional to max(degree, 1) via an urn of node ids
     repeated once per degree unit. Deterministic for a fixed seed.
     """
-    rng = random.Random(params.seed)
+    getrandbits = random.Random(params.seed).getrandbits
     n, m = params.n, params.m
     # targets are distinct earlier nodes, so appending keeps every list
     # sorted and free of duplicates and self-loops: no build_graph pass
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    adjacency: list[list[int]] = [[j for j in range(m) if j != i] for i in range(m)]
     urn: list[int] = []
     for i in range(m):
-        adjacency[i].extend(j for j in range(m) if j != i)
         urn.extend([i] * max(m - 1, 1))
     for v in range(m, n):
+        size = len(urn)
+        k = size.bit_length()
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(urn[rng.randrange(len(urn))])
-        for t in sorted(targets):
+            # the draws Random.randrange(size) makes on Python 3.10-3.13
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            targets.add(urn[r])
+        row = sorted(targets)
+        for t in row:
+            nbrs = adjacency[t]
             # degree-0 nodes carry one urn entry; replace it on first hit
-            if not adjacency[t]:
+            if not nbrs:
                 urn.remove(t)
-            adjacency[t].append(v)
-            adjacency[v].append(t)
-            urn.append(t)
-        urn.extend([v] * m)
+            nbrs.append(v)
+        adjacency.append(row)
+        urn += row
+        urn += [v] * m
     return Graph(adjacency)
 
 
@@ -73,26 +81,30 @@ def load_edge_list(path: str | Path) -> tuple[Graph, list[str]]:
 
     Each non-comment line is "label_a label_b". Labels are arbitrary
     tokens mapped to dense ids in first-seen order; the returned list
-    gives the original label for each id. Lines starting with '#' and
-    blank lines are skipped. A malformed line raises ValueError naming
-    the 1-based line number.
+    gives the original label for each id. Lines whose first token starts
+    with '#' and blank lines are skipped. A malformed line raises
+    ValueError naming the 1-based line number. The file is read in
+    blocks of about 64 KiB, and only a block holding a malformed line is
+    checked line by line.
     """
     path = Path(path)
     index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
+    ids: list[int] = []
+    lineno = 0
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected two labels, got {len(parts)}"
-                )
-            a, b = parts
-            pairs.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
-    return build_graph(len(index), pairs), list(index)
+        while block := fh.readlines(1 << 16):
+            rows = [parts for parts in map(str.split, block) if parts and parts[0][0] != "#"]
+            if not set(map(len, rows)) <= {2}:
+                for at, parts in enumerate(map(str.split, block), start=lineno + 1):
+                    if parts and parts[0][0] != "#" and len(parts) != 2:
+                        raise ValueError(f"{path}:{at}: expected two labels, got {len(parts)}")
+            tokens = list(chain.from_iterable(rows))
+            fresh = [tok for tok in dict.fromkeys(tokens) if tok not in index]
+            index.update(zip(fresh, count(len(index))))
+            ids += map(index.__getitem__, tokens)
+            lineno += len(block)
+    ends = iter(ids)
+    return build_graph(len(index), zip(ends, ends)), list(index)
 
 
 def write_edge_list(

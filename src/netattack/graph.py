@@ -201,7 +201,9 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"node count must be >= 0, got {n}")
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    # one code per undirected pair seen, so rows take no duplicate
+    pairs: set[int] = set()
     duplicates = 0
     self_loops = 0
     for u, v in edges:
@@ -210,16 +212,19 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         if u == v:
             self_loops += 1
             continue
-        if v in neighbor_sets[u]:
+        code = u * n + v if u < v else v * n + u
+        if code in pairs:
             duplicates += 1
             continue
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
+        pairs.add(code)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     if duplicates or self_loops:
         log.warning(
             "dropped %d duplicate edge(s) and %d self-loop(s)", duplicates, self_loops
         )
-    adjacency = [sorted(s) for s in neighbor_sets]
+    for row in adjacency:
+        row.sort()
     return Graph(
         adjacency,
         dropped_duplicates=duplicates,

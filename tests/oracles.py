@@ -126,3 +126,53 @@ def random_connected_edges(rng: random.Random, n: int, extra: float = 0.08):
             if rng.random() < extra:
                 edges.add((u, v))
     return sorted(edges)
+
+
+def build_adjacency(n: int, edges) -> tuple[list, int, int]:
+    """(sorted adjacency, duplicates dropped, self-loops dropped) of an
+    edge list, built one neighbour set per node.
+
+    Raises the ValueError ``build_graph`` raises for an endpoint outside
+    [0, n).
+    """
+    if n < 0:
+        raise ValueError(f"node count must be >= 0, got {n}")
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    duplicates = 0
+    self_loops = 0
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+        if u == v:
+            self_loops += 1
+            continue
+        if v in neighbor_sets[u]:
+            duplicates += 1
+            continue
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
+    return [sorted(s) for s in neighbor_sets], duplicates, self_loops
+
+
+def read_edge_list(path) -> tuple[list, list, int, int]:
+    """(adjacency, labels, duplicates, self-loops) of an edge-list file,
+    read one line at a time.
+
+    Blank lines and lines whose first non-blank character is '#' are
+    skipped; every other line must hold two labels, else ValueError names
+    ``path:line``. Labels get dense ids in first-seen order.
+    """
+    index: dict[str, int] = {}
+    pairs: list[tuple[int, int]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two labels, got {len(parts)}")
+            a, b = parts
+            pairs.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+    adjacency, duplicates, self_loops = build_adjacency(len(index), pairs)
+    return adjacency, list(index), duplicates, self_loops

@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -359,7 +362,8 @@ class TestRunTrials:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", RecordingPool)
+        # run_trials imports the pool inside its multi-worker branch
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config(trials=3, cadence=SnapshotCadence(s_every=10, d_every=None))
         wide = run_trials(cfg, threads=8)
         assert opened == [3]
@@ -368,6 +372,18 @@ class TestRunTrials:
         serial = run_trials(cfg, threads=1)
         assert opened == [3, 2]
         assert [traces for _, traces in wide] == [traces for _, traces in serial]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only a run with more than one worker imports the pool
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(experiment_mod.__file__).parents[1])!r}); "
+            "import netattack; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestSharedIntactD:

@@ -34,6 +34,30 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="node count"):
             build_graph(-1, [])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_neighbour_set_oracle(self, data):
+        """Same rows, drop counts and out-of-range error as one neighbour
+        set per node, with duplicates in both orientations and self-loops."""
+        n = data.draw(st.integers(0, 12), label="n")
+        ids = st.integers(0, max(n - 1, 0))
+        edges = data.draw(st.lists(st.tuples(ids, ids), max_size=40 if n else 0), label="edges")
+        if data.draw(st.booleans(), label="stray endpoint"):
+            stray = data.draw(st.sampled_from([(-1, 0), (0, n), (n + 3, -2)]), label="stray")
+            edges.insert(data.draw(st.integers(0, len(edges)), label="at"), stray)
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+
+        want = outcome(lambda: oracles.build_adjacency(n, edges))
+        got = outcome(lambda: build_graph(n, iter(edges)))
+        if isinstance(got, Graph):
+            got = (got.adjacency, got.dropped_duplicates, got.dropped_self_loops)
+        assert got == want
+
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.live_count == 0
