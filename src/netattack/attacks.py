@@ -285,8 +285,8 @@ def run_attack(
     records only what fell when; S and d are then read off the
     finished removal order (:func:`metrics.measure`). Rows are taken at
     step 0, whenever the removal count crosses a cadence mark, and at the
-    final state. Early stop cuts the order at the first row (the final
-    one aside) that meets the crash criterion, so the cadence bounds how
+    last step. Early stop cuts the order at the first row at step 0 or a
+    crossing that meets the crash criterion, so the cadence bounds how
     precisely the crash point is located. ``intact_d`` is ``snapshot(g)``
     when the caller already has it, so strategies run on one graph
     measure the intact d once; None has it measured here.

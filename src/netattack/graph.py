@@ -83,16 +83,16 @@ class Graph:
 
     # -- distances ----------------------------------------------------------------
 
-    def avg_shortest_path(self, members: Iterable[int], live: Sequence) -> float | None:
+    def avg_shortest_path(self, members: Sequence[int], live: Sequence) -> float | None:
         """Mean hop count over the member pairs of one whole live cluster.
 
-        ``members`` must be exactly one connected cluster of the nodes
-        that ``live`` flags, or ValueError is raised. None for fewer than
-        two members.
+        ``members``, a sequence or int array of ids, must be exactly one
+        connected cluster of the nodes that ``live`` flags, or ValueError
+        is raised. None for fewer than two members.
         """
         import numpy as np
 
-        ids = np.fromiter(members, dtype=np.intp)
+        ids = np.asarray(members, dtype=np.intp)
         live = np.frombuffer(bytes(live), dtype=np.uint8)
         # first, as numpy indexing would wrap a negative id
         outside = (ids < 0) | (ids >= self.node_count)

@@ -8,19 +8,18 @@ here, i.e. the average shortest path length inside the biggest cluster
 
 Every observable is a function of the removal order alone, so an attack
 first runs to its end and :func:`measure` then reads S after every step,
-and the largest cluster at each d row, off one reverse union-find pass
-(:func:`giant_sizes`), whose roots give each d row's members.
+and d on each d row's largest cluster as the pass reaches it, off one
+reverse union-find pass (:func:`giant_sizes`), whose roots give the members.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Sequence
 
 from .graph import Graph
 
@@ -92,8 +91,11 @@ class MetricsRow:
 
 
 def giant_sizes(
-    adjacency: Sequence[Sequence[int]], removals: Removals, cluster_steps: Collection[int] = ()
-) -> tuple[list[int], dict[int, tuple[list[int], bytes]]]:
+    adjacency: Sequence[Sequence[int]],
+    removals: Removals,
+    cluster_steps: Collection[int],
+    of_cluster: Callable[[Any, bytes], Any],
+) -> tuple[list[int], dict[int, Any]]:
     """Largest live cluster after each step of a removal order.
 
     ``removals`` holds ``(step, batch)`` pairs as in an attack trace;
@@ -105,9 +107,11 @@ def giant_sizes(
     each batch is the size after it. A node removed twice raises
     ValueError.
 
-    At each step in ``cluster_steps`` the pass also reads off that
-    cluster, as its ascending ids (the live nodes under its root) and
-    the live mask at that step.
+    When the pass reaches a step in ``cluster_steps`` it calls
+    ``of_cluster(members, live)`` on that step's largest cluster: its
+    ascending ids as an int array (:func:`_cluster_of_size`) and the live
+    mask at that step as bytes. Only the results are kept, by step, so
+    the pass holds one cluster at a time and meets the last step first.
     """
     n = len(adjacency)
     removed = bytearray(n)
@@ -121,7 +125,7 @@ def giant_sizes(
     present = bytearray(n)
     best = 0
     sizes = [0] * (len(removals) + 1)
-    clusters = {}
+    results = {}
     groups = [[v for v in range(n) if not removed[v]]]
     groups += [batch for _, batch in reversed(removals)]
     for i, group in enumerate(groups):
@@ -145,24 +149,27 @@ def giant_sizes(
         sizes[step] = best
         if step in cluster_steps:
             members = _cluster_of_size(parent, size, present, best)
-            clusters[step] = members, bytes(present)
-    return sizes, clusters
+            results[step] = of_cluster(members, bytes(present))
+    return sizes, results
 
 
-def _cluster_of_size(parent, size, present, best: int) -> list[int]:
-    """Ascending ids of the first size-``best`` cluster, read off the roots.
+def _cluster_of_size(parent, size, present, best: int):
+    """Ascending ids of the first size-``best`` cluster, as an int array.
 
-    First in live-id order, so a size tie goes to the cluster holding the
-    smallest id. Empty when no node is live.
+    Pointer jumping (``p = p[p]`` until nothing moves) takes every node
+    to its root at once; the cluster is then the ids under the root of
+    the first live id whose root has size ``best``, so a size tie goes to
+    the cluster holding the smallest id. Empty when no node is live.
     """
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
+    import numpy as np
 
-    roots = [find(v) if up else -1 for v, up in enumerate(present)]
-    root = next((r for r in roots if r >= 0 and size[r] == best), -1)
-    return [v for v, r in enumerate(roots) if r == root] if root >= 0 else []
+    p = np.array(parent, dtype=np.intp)
+    while (p[p] != p).any():
+        p = p[p]
+    live = np.frombuffer(present, dtype=np.bool_)
+    first = np.flatnonzero(live & (np.array(size)[p] == best))[:1]
+    # a crashed node is its own root, and no live node's
+    return np.flatnonzero(p == p[first]) if len(first) else first
 
 
 def snapshot(g: Graph) -> float | None:
@@ -172,8 +179,8 @@ def snapshot(g: Graph) -> float | None:
     off :func:`giant_sizes`, with ``g``'s crashed nodes as one batch.
     """
     crashed = tuple(v for v, up in enumerate(g.alive) if not up)
-    _, clusters = giant_sizes(g.adjacency, [(1, crashed)], (1,))
-    return g.avg_shortest_path(*clusters[1])
+    _, d = giant_sizes(g.adjacency, [(1, crashed)], (1,), g.avg_shortest_path)
+    return d[1]
 
 
 def measure(
@@ -190,13 +197,13 @@ def measure(
     ``removals`` is numbered from step 1, as an attack trace holds it.
     ``cadence`` is resolved against ``g``'s node count here. Rows sit at
     step 0, at each step whose removal count crosses an ``s_every`` or
-    ``d_every`` mark, and at the final step. When ``d_every`` is set, d
-    is measured at step 0, at ``d_every`` crossings and at the final step
-    when it crosses no mark, on clusters read off the pass that gives S;
-    ``intact_d``, when not None, is ``snapshot(g)`` already taken and
-    serves as the step-0 d (a None snapshot is simply measured again).
-    With ``early_stop`` the order is cut at the first row, the final one
-    aside, whose S meets the criterion.
+    ``d_every`` mark, and at the last step. When ``d_every`` is set, d
+    is measured at step 0, at ``d_every`` crossings and at the last
+    step, each as the pass that gives S reaches it; ``intact_d``, when
+    not None, is ``snapshot(g)`` already taken and serves as the step-0
+    d (a None snapshot is simply measured again). With ``early_stop``
+    the order is cut at the first crossing, step 0 included, whose S
+    meets the criterion; d rows past the cut are measured and dropped.
 
     Returns the rows, the number of batches kept by the cut (None when
     nothing was cut), the exact crash threshold (the removal fraction
@@ -207,57 +214,47 @@ def measure(
     cadence = cadence.resolve(n)
     s_every, d_every = cadence.s_every, cadence.d_every
     with_d = d_every is not None
-    # (step, measure d) per row; a step crosses a mark when the removal
-    # count passes a multiple of it
-    marks = [(0, with_d)]
+    last = len(removals)
+    # step 0 and the steps whose removal count passes a multiple of a mark
+    crossings = [0]
+    d_steps = {0, last} if with_d else set()
     after = 0
     for step, (_, batch) in enumerate(removals, 1):
         before, after = after, after + len(batch)
         due_d = with_d and after // d_every > before // d_every
+        if due_d:
+            d_steps.add(step)
         if due_d or after // s_every > before // s_every:
-            marks.append((step, due_d))
-    # a cut ends on a mark, so these are all the steps that can get d
-    d_steps = {step for step, due_d in marks if due_d}
-    if with_d and marks[-1][0] != len(removals):
-        d_steps.add(len(removals))
-    if intact_d is not None:
-        d_steps.discard(0)
-    sizes, clusters = giant_sizes(g.adjacency, removals, d_steps)
+            crossings.append(step)
+    known = {0: intact_d} if with_d and intact_d is not None else {}
+
+    def timed_d(members, live):
+        started = time.perf_counter()
+        return g.avg_shortest_path(members, live), time.perf_counter() - started
+
+    sizes, timed = giant_sizes(g.adjacency, removals, d_steps.difference(known), timed_d)
+    ds = {step: d for step, (d, _) in timed.items()} | known
+    d_s = sum(seconds for _, seconds in timed.values())
     counts = [0]  # built after the pass, which sets peak memory
     for _, batch in removals:
         counts.append(counts[-1] + len(batch))
     kept = None
     if early_stop:
-        for k, (step, _) in enumerate(marks):
-            if criterion.crashed(sizes[step] / n):
-                marks, kept = marks[: k + 1], step
-                break
-    last = len(removals) if kept is None else kept
-    if marks[-1][0] != last:
-        marks.append((last, with_d))
+        kept = next((s for s in crossings if criterion.crashed(sizes[s] / n)), None)
+    end = last if kept is None else kept
     exact = next(
-        (counts[i] / n for i in range(last + 1) if criterion.crashed(sizes[i] / n)), None
+        (counts[i] / n for i in range(end + 1) if criterion.crashed(sizes[i] / n)), None
     )
-
-    rows = []
-    d_s = 0.0
-    for step, due_d in marks:
-        d = None
-        if due_d and step in clusters:
-            started = time.perf_counter()
-            d = g.avg_shortest_path(*clusters[step])
-            d_s += time.perf_counter() - started
-        elif due_d:  # only a given intact d is missing from the clusters
-            d = intact_d
-        rows.append(
-            MetricsRow(
-                step=step,
-                removed_count=counts[step],
-                fraction_removed=counts[step] / n,
-                giant_fraction=sizes[step] / n,
-                cluster_diameter=d,
-            )
+    rows = [
+        MetricsRow(
+            step=step,
+            removed_count=counts[step],
+            fraction_removed=counts[step] / n,
+            giant_fraction=sizes[step] / n,
+            cluster_diameter=ds.get(step),
         )
+        for step in [s for s in crossings if s < end] + [end]
+    ]
     return rows, kept, exact, d_s
 
 
@@ -347,9 +344,9 @@ def curve_export(traces: Sequence["AttackTrace"]) -> list[CurvePoint]:
         points.append(
             CurvePoint(
                 f=f,
-                s_mean=statistics.fmean(s_vals),
+                s_mean=math.fsum(s_vals) / len(s_vals),
                 s_std=_pstdev(s_vals),
-                d_mean=statistics.fmean(d_vals) if d_vals else None,
+                d_mean=math.fsum(d_vals) / len(d_vals) if d_vals else None,
                 d_std=_pstdev(d_vals) if d_vals else None,
                 n_samples=len(s_vals),
             )
@@ -399,4 +396,4 @@ def threshold_stats(values: Sequence[float]) -> tuple[float | None, float | None
     vals = [v for v in values if v is not None]
     if not vals:
         return None, None, 0
-    return statistics.fmean(vals), _pstdev(vals), len(vals)
+    return math.fsum(vals) / len(vals), _pstdev(vals), len(vals)

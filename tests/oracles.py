@@ -80,6 +80,15 @@ def max_live_degree(adjacency: list, alive: list, excluded=frozenset()):
     return best
 
 
+def read_off(members, live) -> tuple[list, bytes]:
+    """A cluster as a union-find pass hands it over, as plain values.
+
+    Pass it as ``giant_sizes``'s ``of_cluster`` to keep each requested
+    step's members (ascending ids, as a list) and its live mask.
+    """
+    return members.tolist(), live
+
+
 def random_draws(adjacency: list, kind: str, seed: int, order: list, first_drawn: bool) -> list:
     """Replay single-node picks and say which node each random draw takes.
 

@@ -345,7 +345,8 @@ def test_criterion_08_oracle_equivalence(criterion_report):
             hi = lo + cut.randrange(1, 4)
             removals.append((len(removals) + 1, tuple(order[lo:hi])))
             lo = hi
-        sizes, clusters = giant_sizes(g.adjacency, removals, range(len(removals) + 1))
+        steps = range(len(removals) + 1)
+        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
         alive = [True] * n
         for step, batch in [(0, ())] + removals:
             for v in batch:
@@ -365,7 +366,7 @@ def test_criterion_08_oracle_equivalence(criterion_report):
         n = rng.randrange(3, 51)
         g = build_graph(n, oracles.random_connected_edges(rng, n))
         crashed = tuple(rng.sample(range(n), rng.randrange(n // 4 + 1)))
-        _, clusters = giant_sizes(g.adjacency, [(1, crashed)], (1,))
+        _, clusters = giant_sizes(g.adjacency, [(1, crashed)], (1,), oracles.read_off)
         members, live = clusters[1]
         if len(members) < 2:
             continue

@@ -741,9 +741,10 @@ class TestRunAttack:
         rows, _, _, _ = measure(g, removals, with_d, CrashCriterion(), False)
         d_rows = [r.removed_count for r in rows if r.cluster_diameter is not None]
         assert d_rows == [0, 40, 80, 120]
-        assert calls == [300, 260, 220, 180]  # live nodes at each d row
+        # live nodes at each d row, in any order: the pass meets the last first
+        assert sorted(calls, reverse=True) == [300, 260, 220, 180]
         calls.clear()
         intact_d = rows[0].cluster_diameter
         shared, _, _, _ = measure(g, removals, with_d, CrashCriterion(), False, intact_d=intact_d)
         assert shared == rows
-        assert calls == [260, 220, 180]  # none at step 0
+        assert sorted(calls, reverse=True) == [260, 220, 180]  # none at step 0

@@ -61,7 +61,7 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.live_count == 0
-        assert giant_sizes(g.adjacency, [], (0,)) == ([0], {0: ([], b"")})
+        assert giant_sizes(g.adjacency, [], (0,), oracles.read_off) == ([0], {0: ([], b"")})
 
 
 class TestCrash:
@@ -110,8 +110,8 @@ class TestDegreeTracking:
 
 def clusters_at_every_step(g: Graph, removals) -> dict:
     """The pass's (members, live mask) after each batch of ``removals``."""
-    _, clusters = giant_sizes(g.adjacency, removals, range(len(removals) + 1))
-    return clusters
+    steps = range(len(removals) + 1)
+    return giant_sizes(g.adjacency, removals, steps, oracles.read_off)[1]
 
 
 class TestClusters:
@@ -152,9 +152,9 @@ class TestClusters:
                 assert set(members) == oracles.largest_component(g.adjacency, alive)
 
 
-def whole_cluster(g: Graph) -> frozenset:
-    """The oracle's largest live cluster of ``g``."""
-    return oracles.largest_component(g.adjacency, g.alive)
+def whole_cluster(g: Graph) -> list[int]:
+    """The oracle's largest live cluster of ``g``, in ascending ids."""
+    return sorted(oracles.largest_component(g.adjacency, g.alive))
 
 
 class TestAvgShortestPath:
@@ -237,7 +237,7 @@ class TestAvgShortestPath:
             want = None
             if len(members) >= 2:
                 want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
-            assert g.avg_shortest_path(members, live) == want
+            assert g.avg_shortest_path(sorted(members), live) == want
 
     @pytest.mark.parametrize(
         "n, chunk_words, min_size",
@@ -325,14 +325,27 @@ class TestAvgShortestPath:
         assert g.avg_shortest_path([1, 2, 3, 4], g.alive) == 20 / 12
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy loads on the first path-length call, so start-up skips it
+def test_import_leaves_numpy_unloaded(tmp_path):
+    # numpy loads on the first d row, so start-up and a d-free sweep skip
+    # it; statistics would pull in fractions and decimal
+    config = {
+        "network": {"ba": {"n": 300, "m": 2}},
+        "strategies": [{"kind": "intentional"}, {"kind": "random_failure"}],
+        "trials": 2,
+        "snapshot_cadence": {"s_every": 10, "d_every": None},
+        "plots": True,
+    }
     code = (
         f"import sys; sys.path.insert(0, {str(Path(netattack.__file__).parents[1])!r}); "
         "import netattack; "
-        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        "heavy = lambda: sorted({'numpy', 'scipy', 'statistics'} & set(sys.modules)); "
+        "print(heavy()); "
+        f"config = netattack.ExperimentConfig.from_json({config!r}); "
+        f"netattack.run_experiment(config, output_dir={str(tmp_path / 'out')!r}); "
+        "print(heavy())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]"]
+    assert (tmp_path / "out" / "intentional.curve.csv").exists()

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 import oracles
 from netattack import (
     AttackTrace,
+    BaParams,
     CrashCriterion,
     CurvePoint,
     MetricsRow,
     SnapshotCadence,
+    StrategySpec,
     build_graph,
     crash_threshold,
     curve_export,
+    generate_ba,
     giant_sizes,
+    run_attack,
     snapshot,
     write_curve_csv,
 )
@@ -128,9 +132,10 @@ class TestGiantSizes:
     def test_matches_oracle_after_every_step(self, case):
         n, edges, removals = case
         g = build_graph(n, edges)
-        sizes, clusters = giant_sizes(g.adjacency, removals, range(len(removals) + 1))
+        steps = range(len(removals) + 1)
+        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
         assert len(sizes) == len(removals) + 1
-        assert giant_sizes(g.adjacency, removals) == (sizes, {})
+        assert giant_sizes(g.adjacency, removals, (), oracles.read_off) == (sizes, {})
         alive = [True] * n
         for i, (_, batch) in enumerate([(0, ())] + removals):
             for v in batch:
@@ -144,7 +149,31 @@ class TestGiantSizes:
     def test_rejects_a_node_removed_twice(self):
         g = build_graph(3, [(0, 1)])
         with pytest.raises(ValueError, match="node 1 is removed twice"):
-            giant_sizes(g.adjacency, [(1, (1,)), (2, (2, 1))])
+            giant_sizes(g.adjacency, [(1, (1,)), (2, (2, 1))], (), oracles.read_off)
+
+    @pytest.mark.parametrize("kind", ["intentional", "random_failure"])
+    def test_read_off_at_depth_matches_oracle(self, kind):
+        # the hypothesis graphs (n <= 14) build parent chains so short that
+        # a read-off with one jump passes them; a whole BA n=2000 order
+        # does not, and its last step leaves no live node
+        g = generate_ba(BaParams(2000, 2, seed=21))
+        spec = StrategySpec(kind, seed=3)
+        removals = run_attack(g, spec, cadence=SnapshotCadence(d_every=None)).removals
+        assert len(removals) == 2000
+        steps = range(0, 2001, 100)
+        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
+        assert sorted(clusters) == list(steps)
+        alive = [True] * 2000
+        for step, batch in [(0, ())] + removals:
+            for v in batch:
+                alive[v] = False
+            if step in clusters:
+                want = oracles.largest_component(g.adjacency, alive)
+                members, live = clusters[step]
+                assert sizes[step] == len(want)
+                assert members == sorted(want)
+                assert list(live) == alive
+        assert clusters[2000] == ([], bytes(2000))
 
 
 class TestMeasureD:
@@ -170,7 +199,6 @@ class TestMeasureD:
         for step, batch in [(0, ())] + removals[:final]:
             after = removed + len(batch)
             d_mark = after // d_every > removed // d_every
-            s_mark = after // s_every > removed // s_every
             for v in batch:
                 alive[v] = False
             removed += len(batch)
@@ -180,11 +208,22 @@ class TestMeasureD:
             want = None
             if len(members) >= 2:
                 want = oracles.floyd_warshall_mean(g.adjacency, alive, members)
-            # d at step 0, at d marks, and at a final row that is no mark
-            # (a cut always ends on a mark, so such a row was appended)
-            due = step == 0 or d_mark or (step == final and not s_mark)
+            # d at step 0, at d marks, and at the last step of the order
+            due = step == 0 or d_mark or step == len(removals)
             # exact: an integer total over k(k-1)
             assert by_step[step].cluster_diameter == (want if due else None)
+
+    def test_last_step_gets_d_when_it_is_an_s_mark_only(self):
+        # a 10-node path cut one node a step for 5 steps: step 5 crosses
+        # the s mark but no d mark, and still gets d as the last step
+        g = build_graph(10, [(i, i + 1) for i in range(9)])
+        removals = [(i + 1, (i,)) for i in range(5)]
+        cadence = SnapshotCadence(s_every=5, d_every=3)
+        rows, _, _, _ = measure(g, removals, cadence, CrashCriterion(), False)
+        assert [row.step for row in rows] == [0, 3, 5]
+        alive = [v >= 5 for v in range(10)]
+        want = oracles.floyd_warshall_mean(g.adjacency, alive, range(5, 10))
+        assert rows[-1].cluster_diameter == want == 2.0
 
 
 class TestExactCrashThreshold:
