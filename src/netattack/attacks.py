@@ -167,8 +167,8 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
     band = order[top_n : top_n + band_n]
     if not band:
         return frozenset()
-    take = min(math.ceil(rule.miss_frac * len(band)), len(band))
-    return frozenset(rng.sample(band, take))
+    # miss_frac <= 1, so the count never exceeds the band
+    return frozenset(rng.sample(band, math.ceil(rule.miss_frac * len(band))))
 
 
 def _heap_max(alive: list[bool], heap: list[int], degree: list[int]) -> int | None:

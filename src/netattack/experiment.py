@@ -25,8 +25,9 @@ from .metrics import (
     SnapshotCadence,
     crash_threshold,
     curve_export,
-    threshold_stats,
+    mean_std,
     write_curve_csv,
+    write_table,
 )
 from .svgplot import write_chart
 
@@ -204,22 +205,18 @@ def trial_graph(config: ExperimentConfig, ti: int) -> Graph:
 def write_trace_csv(path: str | Path, trace: AttackTrace) -> None:
     """One row per attack step; S and d filled only at snapshot steps."""
     by_step = {row.step: row for row in trace.snapshots}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# strategy={trace.strategy_key} nodes={trace.total_nodes}")
-        fh.write(f" stop={trace.stop_reason}\n")
-        fh.write("step,removed_node_ids,f,S,d\n")
-        rows: list[tuple[int, tuple[int, ...]]] = [(0, ())] + trace.removals
-        removed = 0
-        for step, ids in rows:
-            removed += len(ids)
-            snap = by_step.get(step)
-            s_val = "" if snap is None else repr(snap.giant_fraction)
-            d_val = ""
-            if snap is not None and snap.cluster_diameter is not None:
-                d_val = repr(snap.cluster_diameter)
-            f_val = removed / trace.total_nodes
-            joined = ";".join(str(v) for v in ids)
-            fh.write(f"{step},{joined},{f_val!r},{s_val},{d_val}\n")
+    head = [
+        f"# strategy={trace.strategy_key} nodes={trace.total_nodes} stop={trace.stop_reason}",
+        "step,removed_node_ids,f,S,d",
+    ]
+    rows = []
+    removed = 0
+    for step, ids in [(0, ())] + trace.removals:
+        removed += len(ids)
+        snap = by_step.get(step)
+        s, d = (None, None) if snap is None else (snap.giant_fraction, snap.cluster_diameter)
+        rows.append((step, ";".join(map(str, ids)), removed / trace.total_nodes, s, d))
+    write_table(path, head, rows)
 
 
 def attack_trial(
@@ -308,8 +305,8 @@ def run_experiment(
             write_curve_csv(curve_path, points, n_traces=len(traces))
             written.append(curve_path)
             values = [crash_threshold(t, criterion) for t in traces]
-            mean, std, count = threshold_stats(values)
-            threshold_rows.append((spec.label, mean, std, count))
+            crashed = [v for v in values if v is not None]
+            threshold_rows.append((spec.label, *mean_std(crashed), len(crashed)))
             for ti, ((build_s, _), trace) in enumerate(zip(per_trial, traces)):
                 trial_rows.append(
                     {
@@ -330,12 +327,7 @@ def run_experiment(
                 )
 
         thresholds_path = out / "thresholds.csv"
-        with thresholds_path.open("w", encoding="utf-8") as fh:
-            fh.write("strategy,mean,std,n\n")
-            for label, mean, std, count in threshold_rows:
-                m = "" if mean is None else repr(mean)
-                s = "" if std is None else repr(std)
-                fh.write(f"{label},{m},{s},{count}\n")
+        write_table(thresholds_path, ["strategy,mean,std,n"], threshold_rows)
         written.append(thresholds_path)
 
         if config.plots:

@@ -4,8 +4,9 @@ The attack simulations never delete edges from the adjacency structure.
 A node is removed by flipping its live flag; the adjacency built at
 construction time stays immutable, so observables can be read off a
 removal order against it. The attack loop keeps its own crash state as
-plain lists and never mutates a graph; ``crash_node`` serves callers
-that crash nodes one at a time.
+plain lists and never mutates a graph. No sweep calls ``crash_node``:
+the tests crash nodes one at a time with it, and the benchmark tracer
+probes it.
 """
 
 from __future__ import annotations

@@ -270,13 +270,13 @@ def crash_threshold(trace: "AttackTrace", criterion: CrashCriterion) -> float | 
     prev: MetricsRow | None = None
     for row in trace.snapshots:
         if row.giant_fraction <= eps:
-            if prev is None or prev.giant_fraction <= eps:
+            if prev is None:
                 return row.fraction_removed
+            # every earlier row is above eps, so s0 > eps >= s1
             f0, s0 = prev.fraction_removed, prev.giant_fraction
             f1, s1 = row.fraction_removed, row.giant_fraction
-            if s0 == s1:
-                return f1
-            return f0 + (s0 - eps) * (f1 - f0) / (s0 - s1)
+            # at s1 == eps, rounding can carry the result an ulp past f1
+            return min(f1, f0 + (s0 - eps) * (f1 - f0) / (s0 - s1))
         prev = row
     return None
 
@@ -341,36 +341,47 @@ def curve_export(traces: Sequence["AttackTrace"]) -> list[CurvePoint]:
             s_vals.append(row.giant_fraction)
             if row.cluster_diameter is not None:
                 d_vals.append(row.cluster_diameter)
-        points.append(
-            CurvePoint(
-                f=f,
-                s_mean=math.fsum(s_vals) / len(s_vals),
-                s_std=_pstdev(s_vals),
-                d_mean=math.fsum(d_vals) / len(d_vals) if d_vals else None,
-                d_std=_pstdev(d_vals) if d_vals else None,
-                n_samples=len(s_vals),
-            )
-        )
+        points.append(CurvePoint(f, *mean_std(s_vals), *mean_std(d_vals), len(s_vals)))
     return points
 
 
 def write_curve_csv(path, points: Iterable[CurvePoint], n_traces: int) -> None:
     """Curve table with the alignment rule documented in '#' headers."""
-    points = list(points)
+    rows = [(p.f, p.s_mean, p.s_std, p.d_mean, p.d_std, p.n_samples) for p in points]
+    head = [
+        f"# averaged attack curve over {n_traces} trace(s), {len(rows)} rows",
+        "# grid = union of snapshot fractions; each trace contributes its"
+        " nearest snapshot per row (ties to lower f)",
+        "# d columns are empty where no contributing trace measured d",
+        "f,S_mean,S_std,d_mean,d_std,n_samples",
+    ]
+    write_table(path, head, rows)
+
+
+def write_table(path, head: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Every CSV the engine writes: the ``head`` lines, then one line per row.
+
+    A row's cells are joined by commas: a str cell as it is, None as an
+    empty cell and any other value as its ``repr``, so a float reads
+    back equal and an int is its digits.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# averaged attack curve over {n_traces} trace(s), {len(points)} rows\n")
-        fh.write(
-            "# grid = union of snapshot fractions; each trace contributes its"
-            " nearest snapshot per row (ties to lower f)\n"
-        )
-        fh.write("# d columns are empty where no contributing trace measured d\n")
-        fh.write("f,S_mean,S_std,d_mean,d_std,n_samples\n")
-        for p in points:
-            d_mean = "" if p.d_mean is None else repr(p.d_mean)
-            d_std = "" if p.d_std is None else repr(p.d_std)
-            fh.write(
-                f"{p.f!r},{p.s_mean!r},{p.s_std!r},{d_mean},{d_std},{p.n_samples}\n"
-            )
+        for line in head:
+            fh.write(f"{line}\n")
+        for row in rows:
+            cells = [c if isinstance(c, str) else "" if c is None else repr(c) for c in row]
+            fh.write(",".join(cells) + "\n")
+
+
+def mean_std(xs: Sequence[float]) -> tuple[float | None, float | None]:
+    """(mean, population std) of ``xs``, or (None, None) when it is empty.
+
+    The mean is ``math.fsum(xs) / len(xs)``, which is ``statistics.fmean``
+    on 3.10-3.13, and the std is :func:`_pstdev`'s exact one.
+    """
+    if not xs:
+        return None, None
+    return math.fsum(xs) / len(xs), _pstdev(xs)
 
 
 def _pstdev(xs: Sequence[float]) -> float:
@@ -389,11 +400,3 @@ def _pstdev(xs: Sequence[float]) -> float:
     num, m = (num, m << 2 * q) if q >= 0 else (num << -2 * q, m)
     root = math.isqrt(num // m)
     return math.ldexp(root | (root * root * m != num), q - den.bit_length() + 1)
-
-
-def threshold_stats(values: Sequence[float]) -> tuple[float | None, float | None, int]:
-    """(mean, population std, count) over the present threshold values."""
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None, None, 0
-    return math.fsum(vals) / len(vals), _pstdev(vals), len(vals)

@@ -123,6 +123,7 @@ class TestProtectedRule:
         assert again == got
 
     def test_band_cut_orders_ties_by_id(self):
+        # miss_frac=1.0 hides the whole band: the sample takes ceil(1.0 * len(band))
         g = build_graph(200, oracles.random_edges(random.Random(6), 200, 0.05))
         degree = [len(a) for a in g.adjacency]
         assert len(set(degree)) < 30  # many equal degrees around every cut

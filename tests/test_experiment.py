@@ -473,6 +473,17 @@ class TestRunExperiment:
         assert th[0] == "strategy,mean,std,n"
         assert len(th) == 3
 
+    def test_thresholds_row_is_blank_when_no_trial_crashes(self, tmp_path):
+        stalls = StrategySpec("lower_bounded_parallel", threshold=100)
+        cfg = small_config(strategies=(StrategySpec("intentional"), stalls))
+        manifest = run_experiment(cfg, output_dir=tmp_path)
+        stops = {t["stop_reason"] for t in manifest["trials"] if t["strategy"] == stalls.label}
+        assert stops == {"strategy_stalled"}
+        th = (tmp_path / "thresholds.csv").read_text(encoding="utf-8").splitlines()
+        assert th[2] == "lower_bounded_parallel_t100,,,0"
+        crashed = manifest["thresholds"][0]
+        assert th[1] == f"intentional,{crashed['mean']!r},{crashed['std']!r},2"
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_a = small_config(output_dir=str(tmp_path / "a"))
         cfg_b = small_config(output_dir=str(tmp_path / "b"))

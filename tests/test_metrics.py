@@ -3,7 +3,7 @@ import statistics
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -24,7 +24,7 @@ from netattack import (
     snapshot,
     write_curve_csv,
 )
-from netattack.metrics import _nearest_row, _pstdev, measure, threshold_stats
+from netattack.metrics import _nearest_row, _pstdev, mean_std, measure, write_table
 
 
 def row(f: float, s: float, d=None) -> MetricsRow:
@@ -255,6 +255,18 @@ class TestExactCrashThreshold:
         assert at_once == 0.0
 
 
+@st.composite
+def falling_rows(draw):
+    """Rows as a trace holds them on an n-node graph: f rises, S never does."""
+    n = draw(st.integers(1, 10**6))
+    counts = sorted(set(draw(st.lists(st.integers(0, n), min_size=1, max_size=8))))
+    sizes = draw(st.lists(st.integers(0, n), min_size=len(counts), max_size=len(counts)))
+    sizes.sort(reverse=True)
+    return [
+        MetricsRow(i, c, c / n, s / n, None) for i, (c, s) in enumerate(zip(counts, sizes))
+    ]
+
+
 class TestCrashThreshold:
     def test_exact_interpolation(self):
         t = trace([row(0.0, 1.0), row(0.10, 0.21), row(0.20, 0.01)])
@@ -278,6 +290,21 @@ class TestCrashThreshold:
         t = trace([row(0.0, 1.0), row(0.1, 0.0), row(0.2, 0.0)])
         got = crash_threshold(t, CrashCriterion(0.01))
         assert got == pytest.approx(0.1 - 0.01 * 0.1 / 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(falling_rows(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # (0.2 - 0.01) * 0.2 / (0.2 - 0.01) rounds to 0.20000000000000004
+    @example(rows=[row(0.0, 0.2), row(0.2, 0.01)], eps=0.01)
+    def test_lies_between_the_straddling_rows(self, rows, eps):
+        got = crash_threshold(trace(rows), CrashCriterion(eps))
+        crashed = [i for i, r in enumerate(rows) if r.giant_fraction <= eps]
+        if not crashed:
+            assert got is None
+        elif crashed[0] == 0:
+            assert got == rows[0].fraction_removed
+        else:
+            before, after = rows[crashed[0] - 1], rows[crashed[0]]
+            assert before.fraction_removed <= got <= after.fraction_removed
 
 
 class TestCurveExport:
@@ -349,20 +376,30 @@ class TestCurveExport:
         assert ",," in data[2]
 
 
+class TestWriteTable:
+    def test_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["# note", "a,b,c,d"], [("x;y", None, 0.1 + 0.2, 42), ("", 1.0, None, 0)])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == ["# note", "a,b,c,d", "x;y,,0.30000000000000004,42", ",1.0,,0"]
+        assert float(lines[2].split(",")[2]) == 0.1 + 0.2
+
+
 class TestThresholdStats:
+    """The thresholds row: mean_std over the trials that crashed."""
+
     def test_mean_and_spread(self):
-        mean, std, n = threshold_stats([0.1, 0.2, 0.3])
+        mean, std = mean_std([0.1, 0.2, 0.3])
         assert mean == pytest.approx(0.2)
         assert std == pytest.approx(0.0816496580927726)
-        assert n == 3
 
     def test_empty(self):
-        assert threshold_stats([]) == (None, None, 0)
+        assert mean_std([]) == (None, None)
 
     def test_std_is_correctly_rounded(self):
         # Python 3.10's statistics.pstdev rounds twice and gives
         # 0.31217211420767377 here
-        _, std, _ = threshold_stats([0.2386, None, 0.9675, 0.8032])
+        _, std = mean_std([0.2386, 0.9675, 0.8032])
         assert std == 0.3121721142076737
 
 
