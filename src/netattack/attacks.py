@@ -19,8 +19,9 @@ The three local-information strategies start from an initial target
 (random live node by default) because they only learn the network by
 walking it.
 
-The removal loop runs on plain lists of its own and never mutates the
-graph; the two degree-driven kinds share one lazy max-heap of int keys.
+The removal loops run on plain lists of their own and never mutate the
+graph. The intentional attack scans degree levels from the top down;
+coordinated keeps its frontier on a lazy max-heap of int keys.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from typing import Sequence
 
 from .graph import Graph
@@ -139,7 +141,8 @@ class AttackTrace:
 
     @property
     def removed_count(self) -> int:
-        return sum(len(ids) for _, ids in self.removals)
+        """Nodes removed, read off the last row, which sits at the last kept step."""
+        return self.snapshots[-1].removed_count
 
     @property
     def final(self) -> MetricsRow:
@@ -155,12 +158,13 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
     """
     if rule.kind == "none":
         return frozenset()
-    n = g.node_count
     degree = [len(nbrs) for nbrs in g.adjacency]
+    if rule.kind == "miss_biggest_hub":
+        # the smallest id of maximum degree
+        return frozenset({degree.index(max(degree))}) if degree else frozenset()
+    n = g.node_count
     # stable, so equal degrees keep ascending id order
     order = sorted(range(n), key=degree.__getitem__, reverse=True)
-    if rule.kind == "miss_biggest_hub":
-        return frozenset(order[:1])
     top_n = math.ceil(rule.top_frac * n)
     # floor at the band stage: a fractional tail node stays out of the band
     band_n = math.floor(rule.band_frac * n)
@@ -172,7 +176,7 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
 
 
 def _heap_max(alive: list[bool], heap: list[int], degree: list[int]) -> int | None:
-    """Top live node of a lazy degree heap, or None.
+    """Top live node of coordinated's lazy degree heap, or None.
 
     A key is ``v - degree * n``: it orders as ``(-degree, v)`` does, ties
     included, and decodes as ``v = key % n``. Live degrees only fall, so
@@ -194,13 +198,20 @@ def _heap_max(alive: list[bool], heap: list[int], degree: list[int]) -> int | No
     return None
 
 
-def select_intentional(alive: list[bool], heap: list[int], degree: list[int]) -> int | None:
-    """Highest current-degree live node outside the protected set.
+def select_intentional(levels: list[list[int]]) -> list[int]:
+    """Candidates of the highest non-empty degree level, ascending ids.
 
-    ``heap`` holds every unprotected live node once, so its top is the
-    target; ties go to the smallest id.
+    Pops ``levels`` until a non-empty level comes off, sorts it in place
+    and returns it; its degree is then ``len(levels)``. Empty once every
+    level is gone. The caller skips the candidates that have crashed or
+    fallen below the level's degree.
     """
-    return _heap_max(alive, heap, degree)
+    while levels:
+        level = levels.pop()
+        if level:
+            level.sort()
+            return level
+    return []
 
 
 def select_random_failure(live: list[int], rng: random.Random) -> int | None:
@@ -230,9 +241,10 @@ def select_coordinated(
     """Best live node on the crashed set's boundary, else a random restart.
 
     ``heap`` gains a node once, when it first neighbors a crashed node,
-    so its live entries are exactly the frontier; :func:`_heap_max`
-    picks max degree with the smallest id on ties. ``live`` is never
-    empty here.
+    so its live entries are exactly the frontier. A frontier node can
+    join above the degree of the last pick, so the max is kept on a heap
+    rather than on degree levels: :func:`_heap_max` picks max degree
+    with the smallest id on ties. ``live`` is never empty here.
     """
     v = _heap_max(alive, heap, degree)
     return v if v is not None else live[rng.randrange(len(live))]
@@ -263,8 +275,8 @@ def _resolve_initial(g: Graph, spec: StrategySpec, rng: random.Random) -> int:
             raise ValueError(f"initial_target {spec.initial_target} is not a live node")
         return spec.initial_target
     if spec.initial_target == "max_degree":
-        adjacency = g.adjacency
-        return max(range(g.node_count), key=lambda v: (len(adjacency[v]), -v))
+        degree = [len(nbrs) for nbrs in g.adjacency]
+        return degree.index(max(degree))
     # every node is still live, in id order: the draw select_random_failure makes
     return rng.randrange(g.node_count)
 
@@ -329,28 +341,28 @@ def _removal_order(
     """Crash batch by batch until the attack stops: (removals, stop reason).
 
     The loop keeps its crash state in plain lists and leaves ``g`` as it
-    is. Only the kinds that draw at random after the first pick keep the
+    is. The intentional kind runs its own loop, :func:`_intentional_order`.
+    Only the kinds that draw at random after the first pick keep the
     live ids, in ``live``, with each one's slot in ``pos`` for an O(1)
-    swap-remove. Each pick is one call of the kind's selector, looked up
-    as a module global so that a wrapper put there sees every call.
+    swap-remove. Each pick of the other kinds is one call of the kind's
+    selector, looked up as a module global so that a wrapper put there
+    sees every call.
     """
     n = g.node_count
     adjacency = g.adjacency
     kind = spec.kind
     rng = random.Random(spec.seed)
     protected = build_protected_set(g, spec.protected, rng)
+    if kind == "intentional":
+        return _intentional_order(adjacency, protected, budget)
 
     alive = [True] * n
     degree = [len(nbrs) for nbrs in adjacency]
-    live = None if kind in ("intentional", "lower_bounded_parallel") else list(range(n))
+    live = None if kind == "lower_bounded_parallel" else list(range(n))
     pos = list(range(n)) if live else None
-    # lazy max-heap keyed v - degree * n for the two degree-driven kinds:
-    # intentional starts from every unprotected node, coordinated from none
-    # and pushes a node once, when it first joins the frontier
+    # coordinated's lazy max-heap, keyed v - degree * n: it starts empty and
+    # pushes a node once, when it first joins the frontier
     heap: list[int] = []
-    if kind == "intentional":
-        heap = [v - d * n for v, d in enumerate(degree) if v not in protected]
-        heapify(heap)
     queued = bytearray(n) if kind == "coordinated" else None
     removals: list[tuple[int, tuple[int, ...]]] = []
     removed = 0
@@ -359,9 +371,7 @@ def _removal_order(
         if kind == "lower_bounded_parallel" and removed:
             batch = step_lower_bounded(alive, batch, adjacency, spec.threshold)
         else:
-            if kind == "intentional":
-                v = select_intentional(alive, heap, degree)
-            elif kind == "random_failure":
+            if kind == "random_failure":
                 v = select_random_failure(live, rng)
             elif not removed:
                 v = _resolve_initial(g, spec, rng)
@@ -396,3 +406,49 @@ def _removal_order(
             return removals, STOP_GRAPH_EXHAUSTED
         if removed / n >= budget:
             return removals, STOP_BUDGET_EXHAUSTED
+
+
+def _intentional_order(
+    adjacency: list[list[int]], protected: frozenset[int], budget: float
+) -> tuple[list[tuple[int, tuple[int, ...]]], str]:
+    """The intentional attack's (removals, stop reason), by degree levels.
+
+    Every unprotected live node is filed in ``levels`` at or above its
+    live degree: first at its initial degree, and again, lower, whenever
+    a scan meets it after its degree has fallen. Crashed and protected
+    nodes hold a degree below 0, which decrements only lower, and are
+    dropped when met. Live degrees only fall, so while level d is the
+    top one, every node of degree d is filed there and none joins it:
+    its sorted candidates are scanned once, and each one still at
+    degree d is in turn the live node of highest degree, smallest id on
+    ties. :func:`select_intentional` hands over the next level when a
+    scan runs out.
+    """
+    n = len(adjacency)
+    degree = list(map(len, adjacency))
+    levels: list[list[int]] = [[] for _ in range(max(degree, default=-1) + 1)]
+    for v, d in enumerate(degree):
+        levels[d].append(v)
+    for v in protected:
+        degree[v] = -1
+    # the first count r with r / n >= budget, the test the other kinds run
+    stop = bisect_left(range(1, n + 1), budget, key=lambda r: r / n) + 1
+    removals: list[tuple[int, tuple[int, ...]]] = []
+    removed = 0
+    while candidates := select_intentional(levels):
+        d = len(levels)
+        for v in candidates:
+            dv = degree[v]
+            if dv != d:
+                if dv >= 0:  # fell below d since it was filed
+                    levels[dv].append(v)
+                continue
+            degree[v] = -1
+            for u in adjacency[v]:
+                degree[u] -= 1
+            removed += 1
+            removals.append((removed, (v,)))
+            if removed == stop:
+                stopped = STOP_GRAPH_EXHAUSTED if removed == n else STOP_BUDGET_EXHAUSTED
+                return removals, stopped
+    return removals, STOP_STRATEGY_STALLED

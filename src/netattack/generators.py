@@ -49,14 +49,16 @@ def generate_ba(params: BaParams) -> Graph:
     for v in range(m, n):
         size = len(urn)
         k = size.bit_length()
-        targets: set[int] = set()
-        while len(targets) < m:
+        row: list[int] = []
+        while len(row) < m:
             # the draws Random.randrange(size) makes on Python 3.10-3.13
             r = getrandbits(k)
             while r >= size:
                 r = getrandbits(k)
-            targets.add(urn[r])
-        row = sorted(targets)
+            t = urn[r]
+            if t not in row:
+                row.append(t)
+        row.sort()
         for t in row:
             nbrs = adjacency[t]
             # degree-0 nodes carry one urn entry; replace it on first hit

@@ -11,11 +11,8 @@ probes it.
 
 from __future__ import annotations
 
-import logging
 from itertools import chain
 from typing import Iterable, Sequence
-
-log = logging.getLogger(__name__)
 
 # BFS sources per chunk of the distance kernel, in 64-bit words; its
 # arrays grow linearly with this and the member count
@@ -221,7 +218,9 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         adjacency[u].append(v)
         adjacency[v].append(u)
     if duplicates or self_loops:
-        log.warning(
+        import logging
+
+        logging.getLogger(__name__).warning(
             "dropped %d duplicate edge(s) and %d self-loop(s)", duplicates, self_loops
         )
     for row in adjacency:

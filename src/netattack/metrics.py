@@ -19,6 +19,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Sequence
 
 from .graph import Graph
@@ -104,14 +106,16 @@ def giant_sizes(
     pass (Newman & Ziff, PRL 85, 4104, 2000): a union-find, by size with
     path halving, is seeded with the nodes no batch removes, then the
     batches are added back last to first, and the running maximum before
-    each batch is the size after it. A node removed twice raises
-    ValueError.
+    each batch is the size after it. A node's parent is -1 until the
+    pass adds it, so the parents double as the live mask. A node removed
+    twice raises ValueError.
 
     When the pass reaches a step in ``cluster_steps`` it calls
     ``of_cluster(members, live)`` on that step's largest cluster: its
-    ascending ids as an int array (:func:`_cluster_of_size`) and the live
-    mask at that step as bytes. Only the results are kept, by step, so
-    the pass holds one cluster at a time and meets the last step first.
+    ascending ids as an int array and the live mask at that step as
+    bytes (:func:`_cluster_of_size`). Only the results are kept, by
+    step, so the pass holds one cluster at a time and meets the last
+    step first.
     """
     n = len(adjacency)
     removed = bytearray(n)
@@ -120,24 +124,24 @@ def giant_sizes(
             if removed[v]:
                 raise ValueError(f"node {v} is removed twice")
             removed[v] = 1
-    parent = list(range(n))
+    parent = [-1] * n
     size = [1] * n
-    present = bytearray(n)
     best = 0
-    sizes = [0] * (len(removals) + 1)
+    sizes = []  # last step first, reversed at the end
     results = {}
+    step = len(removals)
     groups = [[v for v in range(n) if not removed[v]]]
     groups += [batch for _, batch in reversed(removals)]
-    for i, group in enumerate(groups):
+    for group in groups:
         for v in group:
-            present[v] = 1
-            root = v
+            parent[v] = root = v
             for u in adjacency[v]:
-                if not present[u]:
+                p = parent[u]
+                if p < 0:
                     continue
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
+                while p != u:  # path halving
+                    p = parent[u] = parent[p]
+                    u, p = p, parent[p]
                 if u != root:
                     if size[u] > size[root]:
                         root, u = u, root
@@ -145,31 +149,35 @@ def giant_sizes(
                     size[root] += size[u]
             if size[root] > best:
                 best = size[root]
-        step = len(removals) - i
-        sizes[step] = best
+        sizes.append(best)
         if step in cluster_steps:
-            members = _cluster_of_size(parent, size, present, best)
-            results[step] = of_cluster(members, bytes(present))
+            results[step] = of_cluster(*_cluster_of_size(parent, size, best))
+        step -= 1
+    sizes.reverse()
     return sizes, results
 
 
-def _cluster_of_size(parent, size, present, best: int):
-    """Ascending ids of the first size-``best`` cluster, as an int array.
+def _cluster_of_size(parent, size, best: int):
+    """(ascending ids of the first size-``best`` cluster, live mask as bytes).
 
-    Pointer jumping (``p = p[p]`` until nothing moves) takes every node
-    to its root at once; the cluster is then the ids under the root of
-    the first live id whose root has size ``best``, so a size tie goes to
-    the cluster holding the smallest id. Empty when no node is live.
+    A live node has a parent >= 0, a node not yet added -1. Pointer
+    jumping (``p = p[p]`` until nothing moves) takes every live node to
+    its root at once; the cluster is then the ids under the root of the
+    first live id whose root has size ``best``, so a size tie goes to
+    the cluster holding the smallest id. The ids are an int array, empty
+    when no node is live.
     """
     import numpy as np
 
     p = np.array(parent, dtype=np.intp)
+    live = p >= 0
+    # a node not yet added is its own root, and no live node's
+    p[~live] = np.flatnonzero(~live)
     while (p[p] != p).any():
         p = p[p]
-    live = np.frombuffer(present, dtype=np.bool_)
     first = np.flatnonzero(live & (np.array(size)[p] == best))[:1]
-    # a crashed node is its own root, and no live node's
-    return np.flatnonzero(p == p[first]) if len(first) else first
+    members = np.flatnonzero(p == p[first]) if len(first) else first
+    return members, live.tobytes()
 
 
 def snapshot(g: Graph) -> float | None:
@@ -213,19 +221,19 @@ def measure(
     n = g.node_count
     cadence = cadence.resolve(n)
     s_every, d_every = cadence.s_every, cadence.d_every
-    with_d = d_every is not None
     last = len(removals)
+    counts = list(accumulate(map(len, map(itemgetter(1), removals)), initial=0))
+
+    def crossing(every: int) -> set[int]:
+        """Steps whose removal count passes a multiple of ``every``: each
+        multiple's first step at or above it."""
+        return {bisect_left(counts, mark) for mark in range(every, counts[-1] + 1, every)}
+
+    with_d = d_every is not None
+    d_marks = crossing(d_every) if with_d else set()
     # step 0 and the steps whose removal count passes a multiple of a mark
-    crossings = [0]
-    d_steps = {0, last} if with_d else set()
-    after = 0
-    for step, (_, batch) in enumerate(removals, 1):
-        before, after = after, after + len(batch)
-        due_d = with_d and after // d_every > before // d_every
-        if due_d:
-            d_steps.add(step)
-        if due_d or after // s_every > before // s_every:
-            crossings.append(step)
+    crossings = sorted(crossing(s_every) | d_marks | {0})
+    d_steps = d_marks | {0, last} if with_d else set()
     known = {0: intact_d} if with_d and intact_d is not None else {}
 
     def timed_d(members, live):
@@ -235,16 +243,13 @@ def measure(
     sizes, timed = giant_sizes(g.adjacency, removals, d_steps.difference(known), timed_d)
     ds = {step: d for step, (d, _) in timed.items()} | known
     d_s = sum(seconds for _, seconds in timed.values())
-    counts = [0]  # built after the pass, which sets peak memory
-    for _, batch in removals:
-        counts.append(counts[-1] + len(batch))
     kept = None
     if early_stop:
         kept = next((s for s in crossings if criterion.crashed(sizes[s] / n)), None)
     end = last if kept is None else kept
-    exact = next(
-        (counts[i] / n for i in range(end + 1) if criterion.crashed(sizes[i] / n)), None
-    )
+    # sizes never grow along the order, so the crashed steps are a suffix
+    first = bisect_left(range(end + 1), True, key=lambda i: criterion.crashed(sizes[i] / n))
+    exact = counts[first] / n if first <= end else None
     rows = [
         MetricsRow(
             step=step,

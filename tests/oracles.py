@@ -5,6 +5,7 @@ its answer from first principles so the fast engine code has something
 independent to disagree with.
 """
 
+import heapq
 import random
 from itertools import combinations
 
@@ -78,6 +79,43 @@ def max_live_degree(adjacency: list, alive: list, excluded=frozenset()):
         if d > best_d:
             best, best_d = v, d
     return best
+
+
+def heap_intentional_order(adjacency: list, protected, budget: float) -> tuple[list, str]:
+    """The intentional attack's (removals, stop reason), off a lazy max-heap.
+
+    The heap holds each unprotected node once, keyed by its live degree
+    as ``(-degree, id)``. A crashed top is dropped; a top whose degree
+    has fallen since it was keyed is re-keyed in place; an exact top is
+    the pick. Removals are ``(step, (node,))`` from step 1. The loop
+    stops with "graph_exhausted" once every node is gone, then with
+    "budget_exhausted" once ``removed / n >= budget``, and with
+    "strategy_stalled" when the heap runs dry first.
+    """
+    n = len(adjacency)
+    alive = [True] * n
+    degree = [len(nbrs) for nbrs in adjacency]
+    heap = [(-degree[v], v) for v in range(n) if v not in protected]
+    heapq.heapify(heap)
+    removals = []
+    while heap:
+        key, v = heap[0]
+        if not alive[v]:
+            heapq.heappop(heap)
+        elif -key != degree[v]:
+            heapq.heapreplace(heap, (-degree[v], v))
+        else:
+            heapq.heappop(heap)
+            alive[v] = False
+            for u in adjacency[v]:
+                if alive[u]:
+                    degree[u] -= 1
+            removals.append((len(removals) + 1, (v,)))
+            if len(removals) == n:
+                return removals, "graph_exhausted"
+            if len(removals) / n >= budget:
+                return removals, "budget_exhausted"
+    return removals, "strategy_stalled"
 
 
 def read_off(members, live) -> tuple[list, bytes]:

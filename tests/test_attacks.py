@@ -5,7 +5,7 @@ import random
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,6 +32,8 @@ from netattack.attacks import (
     STOP_GRAPH_EXHAUSTED,
     STOP_NETWORK_CRASHED,
     STOP_STRATEGY_STALLED,
+    _heap_max,
+    _intentional_order,
     select_coordinated,
     select_greedy_sequential,
     select_intentional,
@@ -181,6 +183,30 @@ def attack_cases(draw) -> tuple[Graph, StrategySpec]:
     return build_graph(n, edges), spec
 
 
+@st.composite
+def intentional_cases(draw):
+    """(n, edges, protected kind, miss_frac, budget) for an intentional run.
+
+    Small graphs keep ties and degree-0 nodes common. ``miss_medium_band``
+    runs with the whole graph as its band, so it hides any share of it,
+    all nodes included. The budget is 1.0, a share ``r / n``, a float
+    one ulp either side of it, or any fraction, so the stop count meets
+    every rounding of ``r / n``.
+    """
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    rule = draw(st.sampled_from(PROTECTED_KINDS))
+    miss = draw(st.floats(0.01, 1.0)) if rule == "miss_medium_band" else 0.0
+    r = draw(st.integers(1, n))
+    share = draw(st.sampled_from((r / n, r * (1 / n), math.nextafter(r / n, 0))))
+    budget = draw(
+        st.sampled_from((1.0, share, min(1.0, math.nextafter(share, 1))))
+        | st.floats(0.0, 1.0, exclude_min=True)
+    )
+    return n, edges, rule, miss, budget
+
+
 class TestStrategySpec:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -288,36 +314,53 @@ def live_ids(g):
     return [v for v in range(g.node_count) if g.alive[v]]
 
 
+def intentional_picks(g, protected=frozenset(), budget=1.0):
+    """The intentional attack's pick order on fresh ``g``."""
+    removals, _ = _intentional_order(g.adjacency, frozenset(protected), budget)
+    return [v for _, (v,) in removals]
+
+
 class TestSelectors:
     def test_intentional_skips_protected(self):
         g = star_plus_tail()
-        assert pick(select_intentional, g, degree_heap(g, range(g.node_count))) == 0
-        assert pick(select_intentional, g, degree_heap(g, range(1, g.node_count))) == 1
+        assert intentional_picks(g)[0] == 0
+        assert intentional_picks(g, {0})[0] == 1
+        assert 0 not in intentional_picks(g, {0})
 
     def test_intentional_tie_breaks_to_smallest_id(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        assert pick(select_intentional, g, degree_heap(g, range(4))) == 0
-        assert pick(select_intentional, g, degree_heap(g, (1, 2, 3))) == 1
-        assert pick(select_intentional, g, degree_heap(g, (3, 2))) == 2
+        # after 0 falls, 2 and 3 tie at degree 1; then 1 and 3 at degree 0
+        assert intentional_picks(g) == [0, 2, 1, 3]
+        assert intentional_picks(g, {0}) == [1, 2, 3]
+        assert intentional_picks(g, {0, 1}) == [2, 3]
+        levels = [[5, 3], [], [4, 2]]
+        assert select_intentional(levels) == [2, 4]
+        assert levels == [[5, 3], []]  # the returned level's degree is 2
+        assert select_intentional(levels) == [3, 5]
+        assert levels == []
 
     def test_intentional_rekeys_stale_entries(self):
+        """A node whose degree fell below its level is skipped there, filed
+        again at its degree and picked off that level."""
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-        heap = degree_heap(g, range(5))
-        g.crash_node(1)
-        # no push after the crash: 1's entry is dead and 0, 2 and 4 hold
-        # stale keys; 2 and 3 both have degree 1 now and the smaller id wins
-        assert pick(select_intentional, g, heap) == 2
-        assert decode(heap[0], 5) == (2, 1)
-        assert sorted(decode(key, 5)[0] for key in heap) == [0, 2, 3, 4]
+        # 1 falls first; 2's entry at level 2 is then stale, and 2 is
+        # picked at level 1, where it ties with 3 and wins on its id
+        assert intentional_picks(g) == [1, 2, 0, 3, 4]
+        # a protected node still counts toward its neighbors' degrees
+        assert intentional_picks(g, {2}) == [1, 3, 0, 4]
 
     def test_intentional_none_when_everything_protected_or_dead(self):
+        assert select_intentional([]) == []
+        assert select_intentional([[], []]) == []
         g = build_graph(2, [(0, 1)])
-        assert pick(select_intentional, g, []) is None
-        heap = degree_heap(g, range(2))
-        g.crash_node(0)
-        g.crash_node(1)
-        assert pick(select_intentional, g, heap) is None
-        assert heap == []
+        assert _intentional_order(g.adjacency, frozenset({0, 1}), 1.0) == (
+            [],
+            STOP_STRATEGY_STALLED,
+        )
+        assert _intentional_order(g.adjacency, frozenset({1}), 1.0) == (
+            [(1, (0,))],
+            STOP_STRATEGY_STALLED,
+        )
         assert select_random_failure([], random.Random(0)) is None
 
     @settings(max_examples=200, deadline=None)
@@ -335,7 +378,7 @@ class TestSelectors:
         heap = list(keys)
         heapq.heapify(heap)
         popped = []
-        while (v := select_intentional(alive, heap, degree)) is not None:
+        while (v := _heap_max(alive, heap, degree)) is not None:
             popped.append(v)
             heapq.heappop(heap)
             alive[v] = False
@@ -589,54 +632,46 @@ class TestRunAttack:
             assert sum(want is not None for want in expected[1:]) >= 5, kind
             assert all(want in (None, got) for want, got in zip(expected, order)), kind
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            StrategySpec("intentional"),
-            StrategySpec("intentional", protected=ProtectedRule("miss_biggest_hub")),
-            StrategySpec(
-                "intentional",
-                protected=ProtectedRule("miss_medium_band", top_frac=0.05, miss_frac=0.5),
-            ),
-            StrategySpec("coordinated", seed=3),
-        ],
-        ids=lambda spec: spec.label,
-    )
+    @pytest.mark.parametrize("spec", [StrategySpec("coordinated", seed=3)], ids=lambda s: s.label)
     def test_heap_holds_each_node_once(self, monkeypatch, spec):
-        """At every pick the heap holds each eligible node once, keyed from above."""
+        """At every pick the heap holds each frontier node once, keyed from above."""
         picks = []
 
-        def checked(select):
-            def wrapper(alive, heap, degree, *rest):
-                n = len(alive)
-                decoded = [decode(key, n) for key in heap]
-                ids = [v for v, _ in decoded]
-                assert len(ids) == len(set(ids))
-                assert all(bound >= degree[v] for v, bound in decoded)
-                if spec.kind == "intentional":
-                    # n - |protected| - removed: protected nodes never fall
-                    eligible = {v for v in range(n) if alive[v]} - protected
-                else:
-                    eligible = {
-                        u for v in range(n) if not alive[v] for u in g.adjacency[v] if alive[u]
-                    }
-                assert set(ids) == eligible
-                picks.append(select(alive, heap, degree, *rest))
-                return picks[-1]
+        def checked(alive, heap, degree, *rest):
+            n = len(alive)
+            decoded = [decode(key, n) for key in heap]
+            ids = [v for v, _ in decoded]
+            assert len(ids) == len(set(ids))
+            assert all(bound >= degree[v] for v, bound in decoded)
+            frontier = {u for v in range(n) if not alive[v] for u in g.adjacency[v] if alive[u]}
+            assert set(ids) == frontier
+            picks.append(select_coordinated(alive, heap, degree, *rest))
+            return picks[-1]
 
-            return wrapper
-
-        monkeypatch.setattr(attacks, "select_intentional", checked(select_intentional))
-        monkeypatch.setattr(attacks, "select_coordinated", checked(select_coordinated))
+        monkeypatch.setattr(attacks, "select_coordinated", checked)
         sparse = oracles.random_edges(random.Random(5), 200, 0.012)
         for g in (generate_ba(BaParams(300, 2, seed=10)), build_graph(200, sparse)):
-            protected = build_protected_set(g, spec.protected, random.Random(spec.seed))
             picks.clear()
             trace = run_attack(g, spec)
             order = [v for _, batch in trace.removals for v in batch]
-            # every pick but coordinated's initial target went through a check
-            skip = spec.kind == "coordinated"
-            assert [v for v in picks if v is not None] == order[skip:]
+            # every pick but the initial target went through the check
+            assert picks == order[1:]
+
+    @settings(max_examples=400, deadline=None)
+    @given(intentional_cases())
+    @example((1, [], "none", 0.0, 1.0))  # one isolated node
+    @example((7, [], "miss_medium_band", 0.5, 1.0))  # edgeless, stalls
+    @example((10, [(0, 1), (2, 3)], "none", 0.0, 0.1 * 3))  # 0.30000000000000004: 4 of 10
+    @example((10, [(0, 1), (2, 3)], "none", 0.0, 3 / 10))  # 0.3: 3 of 10
+    def test_level_scan_matches_heap_oracle(self, case):
+        """Removals and stop reason equal the lazy-heap order's, rounding included."""
+        n, edges, rule, miss, budget = case
+        g = build_graph(n, edges)
+        protected = ProtectedRule(rule, top_frac=0.0, band_frac=1.0, miss_frac=miss)
+        spec = StrategySpec("intentional", protected=protected, seed=n)
+        hidden = build_protected_set(g, protected, random.Random(spec.seed))
+        got = attacks._removal_order(g, spec, budget)
+        assert got == oracles.heap_intentional_order(g.adjacency, hidden, budget)
 
     def test_fuzz_engine_invariants(self):
         rng = random.Random(11)
@@ -690,6 +725,9 @@ class TestRunAttack:
             criterion = CrashCriterion(rng.choice([0.05, 0.2, 0.4]))
             full = run_attack(g, spec, cadence=cadence)
             cut = run_attack(g, spec, cadence=cadence, early_stop=True, criterion=criterion)
+            for trace in (full, cut):
+                # read off the last row, which a cut moves back with the order
+                assert trace.removed_count == sum(len(ids) for _, ids in trace.removals)
             alive = [True] * n
             prev = removed = 0
             want = None  # (kept batches, S) of the first crashed cadence row

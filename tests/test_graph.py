@@ -19,12 +19,16 @@ def path_graph(n: int) -> Graph:
 
 
 class TestBuildGraph:
-    def test_dedup_and_self_loops(self):
+    def test_dedup_and_self_loops(self, caplog):
         g = build_graph(3, [(0, 1), (1, 0), (0, 1), (2, 2), (1, 2)])
         assert g.edge_count == 2
         assert g.dropped_duplicates == 2
         assert g.dropped_self_loops == 1
         assert g.live_neighbors(1) == {0, 2}
+        # logging is imported for this warning only
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("netattack.graph", "WARNING", "dropped 2 duplicate edge(s) and 1 self-loop(s)")
+        ]
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match=r"edge \(0, 3\) has an endpoint outside"):
@@ -327,7 +331,8 @@ class TestAvgShortestPath:
 
 def test_import_leaves_numpy_unloaded(tmp_path):
     # numpy loads on the first d row, so start-up and a d-free sweep skip
-    # it; statistics would pull in fractions and decimal
+    # it; statistics would pull in fractions and decimal; logging loads
+    # only to warn of dropped edges
     config = {
         "network": {"ba": {"n": 300, "m": 2}},
         "strategies": [{"kind": "intentional"}, {"kind": "random_failure"}],
@@ -338,7 +343,7 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     code = (
         f"import sys; sys.path.insert(0, {str(Path(netattack.__file__).parents[1])!r}); "
         "import netattack; "
-        "heavy = lambda: sorted({'numpy', 'scipy', 'statistics'} & set(sys.modules)); "
+        "heavy = lambda: sorted({'numpy', 'scipy', 'statistics', 'logging'} & set(sys.modules)); "
         "print(heavy()); "
         f"config = netattack.ExperimentConfig.from_json({config!r}); "
         f"netattack.run_experiment(config, output_dir={str(tmp_path / 'out')!r}); "

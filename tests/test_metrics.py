@@ -146,6 +146,33 @@ class TestGiantSizes:
             assert members == sorted(want)
             assert list(live) == alive
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    @pytest.mark.parametrize("zero_first", [True, False])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_end_ids_removed_first_and_last(self, n, zero_first, whole):
+        """Node 0 and node n - 1 fall first and last, and the rest fall
+        between them or never. A node out of the pass has parent -1, which
+        must not read as node n - 1; the live mask must be the bytes of the
+        live flags."""
+        rng = random.Random(n)
+        g = build_graph(n, oracles.random_connected_edges(rng, n))
+        middle = list(range(1, n - 1)) if whole else []
+        rng.shuffle(middle)
+        ends = [0, n - 1] if zero_first else [n - 1, 0]
+        order = list(dict.fromkeys([ends[0]] + middle + [ends[1]]))
+        removals = [(i, (v,)) for i, v in enumerate(order, 1)]
+        steps = range(len(removals) + 1)
+        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
+        alive = [True] * n
+        for step, batch in [(0, ())] + removals:
+            for v in batch:
+                alive[v] = False
+            want = oracles.largest_component(g.adjacency, alive)
+            members, live = clusters[step]
+            assert sizes[step] == len(want)
+            assert members == sorted(want)
+            assert type(live) is bytes and live == bytes(alive)
+
     def test_rejects_a_node_removed_twice(self):
         g = build_graph(3, [(0, 1)])
         with pytest.raises(ValueError, match="node 1 is removed twice"):
@@ -212,6 +239,46 @@ class TestMeasureD:
             due = step == 0 or d_mark or step == len(removals)
             # exact: an integer total over k(k-1)
             assert by_step[step].cluster_diameter == (want if due else None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graphs_and_orders(),
+        st.integers(1, 6),
+        st.one_of(st.none(), st.integers(1, 4)),
+        st.booleans(),
+        st.sampled_from([0.1, 0.3, 0.6]),
+    )
+    # the last step is a d mark only, and the first crashed row
+    @example((6, [(0, 3), (0, 4), (1, 4), (3, 4)], [(1, (2,)), (2, (0, 4, 5))]), 7, 1, True, 0.6)
+    def test_rows_cut_and_threshold_match_replay(self, case, s_every, d_every, early_stop, eps):
+        """Rows sit at step 0, at every s or d mark crossing and at the
+        last step; the cut is the first crashed one of the first two
+        kinds; the exact threshold is the first crashed step it keeps."""
+        n, edges, removals = case
+        assume(n > 0)
+        g = build_graph(n, edges)
+        cadence = SnapshotCadence(s_every, d_every)
+        rows, kept, exact, _ = measure(g, removals, cadence, CrashCriterion(eps), early_stop)
+        marks = [s_every] + ([d_every] if d_every else [])
+        alive = [True] * n
+        replay = []  # (step, removed count, S, is a cadence row)
+        removed = 0
+        for step, batch in [(0, ())] + removals:
+            before, removed = removed, removed + len(batch)
+            for v in batch:
+                alive[v] = False
+            crossed = step == 0 or any(removed // m > before // m for m in marks)
+            size = len(oracles.largest_component(g.adjacency, alive))
+            replay.append((step, removed, size / n, crossed))
+        want_kept = None
+        if early_stop:
+            want_kept = next((s for s, _, f, row in replay if row and f <= eps), None)
+        end = len(removals) if want_kept is None else want_kept
+        want_exact = next((c / n for s, c, f, _ in replay[: end + 1] if f <= eps), None)
+        want_rows = [(s, c, c / n, f) for s, c, f, row in replay if row and s < end]
+        want_rows.append((end, replay[end][1], replay[end][1] / n, replay[end][2]))
+        got_rows = [(r.step, r.removed_count, r.fraction_removed, r.giant_fraction) for r in rows]
+        assert (got_rows, kept, exact) == (want_rows, want_kept, want_exact)
 
     def test_last_step_gets_d_when_it_is_an_s_mark_only(self):
         # a 10-node path cut one node a step for 5 steps: step 5 crosses
