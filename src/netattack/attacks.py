@@ -175,29 +175,6 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
     return frozenset(rng.sample(band, math.ceil(rule.miss_frac * len(band))))
 
 
-def _heap_max(alive: list[bool], heap: list[int], degree: list[int]) -> int | None:
-    """Top live node of coordinated's lazy degree heap, or None.
-
-    A key is ``v - degree * n``: it orders as ``(-degree, v)`` does, ties
-    included, and decodes as ``v = key % n``. Live degrees only fall, so
-    each key bounds its node's degree from above: a stale top is re-keyed
-    in place, an exact one is the maximum (smallest id on ties) and stays
-    on the heap. Crashed entries are dropped.
-    """
-    n = len(alive)
-    while heap:
-        key = heap[0]
-        v = key % n
-        if not alive[v]:
-            heappop(heap)
-        else:
-            exact = v - degree[v] * n
-            if key == exact:
-                return v
-            heapreplace(heap, exact)
-    return None
-
-
 def select_intentional(levels: list[list[int]]) -> list[int]:
     """Candidates of the highest non-empty degree level, ascending ids.
 
@@ -232,22 +209,35 @@ def select_greedy_sequential(
             d = degree[u]
             if d > best_degree or (d == best_degree and u < best):
                 best, best_degree = u, d
-    return best if best is not None else live[rng.randrange(len(live))]
+    return best if best is not None else select_random_failure(live, rng)
 
 
 def select_coordinated(
     alive: list[bool], heap: list[int], degree: list[int], live: list[int], rng: random.Random
-) -> int:
+) -> int | None:
     """Best live node on the crashed set's boundary, else a random restart.
 
     ``heap`` gains a node once, when it first neighbors a crashed node,
-    so its live entries are exactly the frontier. A frontier node can
-    join above the degree of the last pick, so the max is kept on a heap
-    rather than on degree levels: :func:`_heap_max` picks max degree
-    with the smallest id on ties. ``live`` is never empty here.
+    so its live entries are exactly the frontier, which can gain nodes
+    above the last pick's degree: hence a lazy max-heap, not degree
+    levels. A key ``v - degree * n`` orders as ``(-degree, v)`` does and
+    decodes as ``v = key % n``. Live degrees only fall, so a key bounds
+    its node's degree from above: a crashed top is dropped, a stale one
+    re-keyed in place, and an exact one is the pick, left on the heap.
+    The restart is :func:`select_random_failure`'s draw over ``live``.
     """
-    v = _heap_max(alive, heap, degree)
-    return v if v is not None else live[rng.randrange(len(live))]
+    n = len(alive)
+    while heap:
+        key = heap[0]
+        v = key % n
+        if not alive[v]:
+            heappop(heap)
+        else:
+            exact = v - degree[v] * n
+            if key == exact:
+                return v
+            heapreplace(heap, exact)
+    return select_random_failure(live, rng)
 
 
 def step_lower_bounded(
@@ -303,10 +293,11 @@ def run_attack(
     when the caller already has it, so strategies run on one graph
     measure the intact d once; None has it measured here.
 
-    Stop reasons: network_crashed (early stop hit the crash criterion),
-    strategy_stalled (no eligible target but live nodes remain),
-    budget_exhausted (removal fraction reached the budget),
-    graph_exhausted (no live node left).
+    The order ends at ``stop``, the first removal count r with
+    ``r / n >= budget``, or when the strategy stalls. Stop reasons, in
+    order of precedence: network_crashed (early stop hit the crash
+    criterion), graph_exhausted (no live node left), budget_exhausted
+    (``stop`` reached), strategy_stalled (no target, live nodes remain).
     """
     if not 0.0 < budget <= 1.0:
         raise ValueError(f"budget must be in (0, 1], got {budget}")
@@ -314,16 +305,24 @@ def run_attack(
         raise ValueError("graph has no live nodes")
     if g.live_count != g.node_count:
         raise ValueError("run_attack needs a fresh graph (no crashed nodes)")
+    n = g.node_count
+    stop = bisect_left(range(1, n + 1), budget, key=lambda r: r / n) + 1
     started = time.perf_counter()
-    removals, stop_reason = _removal_order(g, spec, budget)
+    removals = _removal_order(g, spec, stop)
     ordered = time.perf_counter()
     rows, kept, exact, d_s = measure(
         g, removals, cadence, criterion, early_stop, intact_d=intact_d
     )
     if kept is not None:
         removals, stop_reason = removals[:kept], STOP_NETWORK_CRASHED
+    elif rows[-1].removed_count == n:
+        stop_reason = STOP_GRAPH_EXHAUSTED
+    elif rows[-1].removed_count >= stop:
+        stop_reason = STOP_BUDGET_EXHAUSTED
+    else:
+        stop_reason = STOP_STRATEGY_STALLED
     return AttackTrace(
-        total_nodes=g.node_count,
+        total_nodes=n,
         strategy_key=spec.label,
         removals=removals,
         snapshots=rows,
@@ -335,18 +334,17 @@ def run_attack(
     )
 
 
-def _removal_order(
-    g: Graph, spec: StrategySpec, budget: float
-) -> tuple[list[tuple[int, tuple[int, ...]]], str]:
-    """Crash batch by batch until the attack stops: (removals, stop reason).
+def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Crash batch by batch until ``stop`` nodes are down or the attack stalls.
 
     The loop keeps its crash state in plain lists and leaves ``g`` as it
     is. The intentional kind runs its own loop, :func:`_intentional_order`.
-    Only the kinds that draw at random after the first pick keep the
-    live ids, in ``live``, with each one's slot in ``pos`` for an O(1)
-    swap-remove. Each pick of the other kinds is one call of the kind's
-    selector, looked up as a module global so that a wrapper put there
-    sees every call.
+    The first target is :func:`_resolve_initial`'s; each later pick is
+    one call of the kind's selector, looked up as a module global so
+    that a wrapper put there sees every call. Only the lower-bounded
+    avalanche can come up empty, which stalls it. The kinds that draw at
+    random keep the live ids in ``live``, with each one's slot in
+    ``pos`` for an O(1) swap-remove.
     """
     n = g.node_count
     adjacency = g.adjacency
@@ -354,7 +352,7 @@ def _removal_order(
     rng = random.Random(spec.seed)
     protected = build_protected_set(g, spec.protected, rng)
     if kind == "intentional":
-        return _intentional_order(adjacency, protected, budget)
+        return _intentional_order(adjacency, protected, stop)
 
     alive = [True] * n
     degree = [len(nbrs) for nbrs in adjacency]
@@ -366,22 +364,8 @@ def _removal_order(
     queued = bytearray(n) if kind == "coordinated" else None
     removals: list[tuple[int, tuple[int, ...]]] = []
     removed = 0
-    batch = ()  # the batch crashed last, until the next pick
-    while True:
-        if kind == "lower_bounded_parallel" and removed:
-            batch = step_lower_bounded(alive, batch, adjacency, spec.threshold)
-        else:
-            if kind == "random_failure":
-                v = select_random_failure(live, rng)
-            elif not removed:
-                v = _resolve_initial(g, spec, rng)
-            elif kind == "greedy_sequential":
-                v = select_greedy_sequential(alive, adjacency[batch[-1]], degree, live, rng)
-            else:
-                v = select_coordinated(alive, heap, degree, live, rng)
-            batch = () if v is None else (v,)
-        if not batch:  # some node is live: the last batch ended no run
-            return removals, STOP_STRATEGY_STALLED
+    batch = (_resolve_initial(g, spec, rng),)
+    while batch:
         for v in batch:
             alive[v] = False
             degree[v] = 0
@@ -402,16 +386,23 @@ def _removal_order(
                 if alive[u] and not queued[u]:
                     queued[u] = 1
                     heappush(heap, u - degree[u] * n)
-        if removed == n:
-            return removals, STOP_GRAPH_EXHAUSTED
-        if removed / n >= budget:
-            return removals, STOP_BUDGET_EXHAUSTED
+        if removed >= stop:
+            break
+        if kind == "lower_bounded_parallel":
+            batch = step_lower_bounded(alive, batch, adjacency, spec.threshold)
+        elif kind == "random_failure":
+            batch = (select_random_failure(live, rng),)
+        elif kind == "greedy_sequential":
+            batch = (select_greedy_sequential(alive, adjacency[batch[-1]], degree, live, rng),)
+        else:
+            batch = (select_coordinated(alive, heap, degree, live, rng),)
+    return removals
 
 
 def _intentional_order(
-    adjacency: list[list[int]], protected: frozenset[int], budget: float
-) -> tuple[list[tuple[int, tuple[int, ...]]], str]:
-    """The intentional attack's (removals, stop reason), by degree levels.
+    adjacency: list[list[int]], protected: frozenset[int], stop: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The intentional attack's removals, by degree levels, up to ``stop``.
 
     Every unprotected live node is filed in ``levels`` at or above its
     live degree: first at its initial degree, and again, lower, whenever
@@ -422,17 +413,14 @@ def _intentional_order(
     its sorted candidates are scanned once, and each one still at
     degree d is in turn the live node of highest degree, smallest id on
     ties. :func:`select_intentional` hands over the next level when a
-    scan runs out.
+    scan runs out; the order stalls when none is left.
     """
-    n = len(adjacency)
     degree = list(map(len, adjacency))
     levels: list[list[int]] = [[] for _ in range(max(degree, default=-1) + 1)]
     for v, d in enumerate(degree):
         levels[d].append(v)
     for v in protected:
         degree[v] = -1
-    # the first count r with r / n >= budget, the test the other kinds run
-    stop = bisect_left(range(1, n + 1), budget, key=lambda r: r / n) + 1
     removals: list[tuple[int, tuple[int, ...]]] = []
     removed = 0
     while candidates := select_intentional(levels):
@@ -449,6 +437,5 @@ def _intentional_order(
             removed += 1
             removals.append((removed, (v,)))
             if removed == stop:
-                stopped = STOP_GRAPH_EXHAUSTED if removed == n else STOP_BUDGET_EXHAUSTED
-                return removals, stopped
-    return removals, STOP_STRATEGY_STALLED
+                return removals
+    return removals

@@ -9,6 +9,7 @@ byte-identical no matter how many worker processes were used.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import repeat
@@ -259,15 +260,18 @@ def _trial_job(config: ExperimentConfig, ti: int) -> tuple[float, list[AttackTra
 def run_trials(config: ExperimentConfig, threads: int = 1) -> list[tuple[float, list[AttackTrace]]]:
     """One ``(build_s, traces)`` pair per trial, in trial order.
 
-    Workers split the trials; each builds its trial's graph once.
+    Workers, no more than the trials or the CPUs this process may use,
+    split the trials; each builds its trial's graph once.
     """
     trials = range(config.trials)
-    if threads <= 1 or len(trials) == 1:
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(threads, len(trials), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers <= 1:
         return [_trial_job(config, ti) for ti in trials]
     # imported here, so a one-worker run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(threads, len(trials))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_job, repeat(config), trials))
 
 

@@ -210,12 +210,13 @@ def measure(
     step, each as the pass that gives S reaches it; ``intact_d``, when
     not None, is ``snapshot(g)`` already taken and serves as the step-0
     d (a None snapshot is simply measured again). With ``early_stop``
-    the order is cut at the first crossing, step 0 included, whose S
-    meets the criterion; d rows past the cut are measured and dropped.
+    the order is cut at the first crossing, step 0 included, at or after
+    the first step whose S meets the criterion, which one bisection
+    finds; d rows past the cut are measured and dropped.
 
     Returns the rows, the number of batches kept by the cut (None when
     nothing was cut), the exact crash threshold (the removal fraction
-    at the first kept step whose S meets the criterion, or None) and the
+    at the first step whose S meets the criterion, or None) and the
     seconds spent measuring d.
     """
     n = g.node_count
@@ -243,13 +244,12 @@ def measure(
     sizes, timed = giant_sizes(g.adjacency, removals, d_steps.difference(known), timed_d)
     ds = {step: d for step, (d, _) in timed.items()} | known
     d_s = sum(seconds for _, seconds in timed.values())
-    kept = None
-    if early_stop:
-        kept = next((s for s in crossings if criterion.crashed(sizes[s] / n)), None)
-    end = last if kept is None else kept
     # sizes never grow along the order, so the crashed steps are a suffix
-    first = bisect_left(range(end + 1), True, key=lambda i: criterion.crashed(sizes[i] / n))
-    exact = counts[first] / n if first <= end else None
+    first = bisect_left(range(last + 1), True, key=lambda i: criterion.crashed(sizes[i] / n))
+    exact = counts[first] / n if first <= last else None
+    cut = bisect_left(crossings, first)
+    kept = crossings[cut] if early_stop and cut < len(crossings) else None
+    end = last if kept is None else kept
     rows = [
         MetricsRow(
             step=step,
@@ -397,6 +397,8 @@ def _pstdev(xs: Sequence[float]) -> float:
     denominator 2**k the variance is num / (n * 2**k)**2; its root is
     taken to 109 bits, rounded to odd so the one rounding to float is right.
     """
+    if len(xs) == 1:
+        return 0.0
     ratios = [x.as_integer_ratio() for x in xs]
     den = max(d for _, d in ratios)
     ints = [a * (den // d) for a, d in ratios]

@@ -118,6 +118,103 @@ def heap_intentional_order(adjacency: list, protected, budget: float) -> tuple[l
     return removals, "strategy_stalled"
 
 
+def shared_loop_order(
+    adjacency: list, kind: str, seed: int, budget: float, threshold=None, initial_target="random_live"
+) -> tuple[list, str]:
+    """(removals, stop reason) of a random or local kind, by one shared loop.
+
+    Every kind but the intentional one runs this loop, with each
+    selector written out in place. The first pick of a local kind is its
+    ``initial_target``: an id, the smallest id of maximum degree, or
+    ``random.Random(seed).randrange(n)``; ``random_failure`` draws every
+    pick, the first included, as ``live[rng.randrange(len(live))]`` over
+    live ids kept by swap-remove. A greedy walker takes the best live
+    neighbour of its last kill and draws when there is none; coordinated
+    takes the best frontier node off a lazy heap of ``v - degree * n``
+    keys and draws when the frontier is empty ("best" is the highest
+    live degree, smallest id on ties). The lower-bounded avalanche
+    crashes, as one sorted batch, every live neighbour of the last batch
+    whose construction degree exceeds ``threshold``. Removals are
+    ``(step, batch)`` from step 1. The loop stops with "graph_exhausted"
+    once every node is gone, then with "budget_exhausted" once
+    ``removed / n >= budget``, and with "strategy_stalled" on an empty
+    pick.
+    """
+    n = len(adjacency)
+    rng = random.Random(seed)
+    alive = [True] * n
+    degree = [len(nbrs) for nbrs in adjacency]
+    live = None if kind == "lower_bounded_parallel" else list(range(n))
+    pos = list(range(n)) if live else None
+    heap = []
+    queued = bytearray(n) if kind == "coordinated" else None
+    removals = []
+    removed = 0
+    batch = ()
+    while True:
+        if kind == "lower_bounded_parallel" and removed:
+            joined = {u for v in batch for u in adjacency[v] if alive[u]}
+            batch = sorted(u for u in joined if len(adjacency[u]) > threshold)
+        else:
+            v = None
+            if kind == "random_failure":
+                v = live[rng.randrange(len(live))] if live else None
+            elif not removed:
+                if isinstance(initial_target, int):
+                    v = initial_target
+                elif initial_target == "max_degree":
+                    v = degree.index(max(degree))
+                else:
+                    v = rng.randrange(n)
+            elif kind == "greedy_sequential":
+                best_degree = -1
+                for u in adjacency[batch[-1]]:
+                    if alive[u]:
+                        d = degree[u]
+                        if d > best_degree or (d == best_degree and u < v):
+                            v, best_degree = u, d
+            else:
+                while heap:
+                    key = heap[0]
+                    u = key % n
+                    if not alive[u]:
+                        heapq.heappop(heap)
+                    elif key != u - degree[u] * n:
+                        heapq.heapreplace(heap, u - degree[u] * n)
+                    else:
+                        v = u
+                        break
+            if v is None and removed and kind in ("greedy_sequential", "coordinated"):
+                v = live[rng.randrange(len(live))]
+            batch = () if v is None else (v,)
+        if not batch:
+            return removals, "strategy_stalled"
+        for v in batch:
+            alive[v] = False
+            degree[v] = 0
+            for u in adjacency[v]:
+                if alive[u]:
+                    degree[u] -= 1
+            if live is not None:
+                last = live.pop()
+                if last != v:
+                    live[pos[v]] = last
+                    pos[last] = pos[v]
+        removed += len(batch)
+        removals.append((len(removals) + 1, tuple(batch)))
+        if heap:
+            heapq.heappop(heap)
+        if queued is not None:
+            for u in adjacency[batch[0]]:
+                if alive[u] and not queued[u]:
+                    queued[u] = 1
+                    heapq.heappush(heap, u - degree[u] * n)
+        if removed == n:
+            return removals, "graph_exhausted"
+        if removed / n >= budget:
+            return removals, "budget_exhausted"
+
+
 def read_off(members, live) -> tuple[list, bytes]:
     """A cluster as a union-find pass hands it over, as plain values.
 

@@ -32,7 +32,6 @@ from netattack.attacks import (
     STOP_GRAPH_EXHAUSTED,
     STOP_NETWORK_CRASHED,
     STOP_STRATEGY_STALLED,
-    _heap_max,
     _intentional_order,
     select_coordinated,
     select_greedy_sequential,
@@ -183,28 +182,53 @@ def attack_cases(draw) -> tuple[Graph, StrategySpec]:
     return build_graph(n, edges), spec
 
 
+def draw_budget(draw, n: int) -> float:
+    """1.0, a share ``r / n``, a float one ulp either side of it, or any
+    fraction, so the stop count meets every rounding of ``r / n``."""
+    r = draw(st.integers(1, n))
+    share = draw(st.sampled_from((r / n, r * (1 / n), math.nextafter(r / n, 0))))
+    return draw(
+        st.sampled_from((1.0, share, min(1.0, math.nextafter(share, 1))))
+        | st.floats(0.0, 1.0, exclude_min=True)
+    )
+
+
 @st.composite
 def intentional_cases(draw):
     """(n, edges, protected kind, miss_frac, budget) for an intentional run.
 
     Small graphs keep ties and degree-0 nodes common. ``miss_medium_band``
     runs with the whole graph as its band, so it hides any share of it,
-    all nodes included. The budget is 1.0, a share ``r / n``, a float
-    one ulp either side of it, or any fraction, so the stop count meets
-    every rounding of ``r / n``.
+    all nodes included. The budget comes from :func:`draw_budget`.
     """
     n = draw(st.integers(1, 30))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
     rule = draw(st.sampled_from(PROTECTED_KINDS))
     miss = draw(st.floats(0.01, 1.0)) if rule == "miss_medium_band" else 0.0
-    r = draw(st.integers(1, n))
-    share = draw(st.sampled_from((r / n, r * (1 / n), math.nextafter(r / n, 0))))
-    budget = draw(
-        st.sampled_from((1.0, share, min(1.0, math.nextafter(share, 1))))
-        | st.floats(0.0, 1.0, exclude_min=True)
-    )
+    budget = draw_budget(draw, n)
     return n, edges, rule, miss, budget
+
+
+@st.composite
+def shared_loop_cases(draw):
+    """(n, edges, kind, threshold, initial target, seed, budget) for a run
+    of one of the four kinds that ``oracles.shared_loop_order`` replays.
+
+    Graphs are small and sparse, often edgeless or split, so ties, jumps,
+    restarts and stalls are common. The budget comes from
+    :func:`draw_budget`.
+    """
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    kind = draw(st.sampled_from(STRATEGY_KINDS[1:]))
+    threshold = draw(st.integers(0, 3)) if kind == "lower_bounded_parallel" else None
+    target = "random_live"
+    if kind in DISTRIBUTED_KINDS:
+        target = draw(st.sampled_from(("random_live", "max_degree")) | st.integers(0, n - 1))
+    budget = draw_budget(draw, n)
+    return n, edges, kind, threshold, target, draw(st.integers(0, 2**32)), budget
 
 
 class TestStrategySpec:
@@ -314,9 +338,9 @@ def live_ids(g):
     return [v for v in range(g.node_count) if g.alive[v]]
 
 
-def intentional_picks(g, protected=frozenset(), budget=1.0):
-    """The intentional attack's pick order on fresh ``g``."""
-    removals, _ = _intentional_order(g.adjacency, frozenset(protected), budget)
+def intentional_picks(g, protected=frozenset()):
+    """The intentional attack's pick order on fresh ``g``, up to every node."""
+    removals = _intentional_order(g.adjacency, frozenset(protected), g.node_count)
     return [v for _, (v,) in removals]
 
 
@@ -353,14 +377,9 @@ class TestSelectors:
         assert select_intentional([]) == []
         assert select_intentional([[], []]) == []
         g = build_graph(2, [(0, 1)])
-        assert _intentional_order(g.adjacency, frozenset({0, 1}), 1.0) == (
-            [],
-            STOP_STRATEGY_STALLED,
-        )
-        assert _intentional_order(g.adjacency, frozenset({1}), 1.0) == (
-            [(1, (0,))],
-            STOP_STRATEGY_STALLED,
-        )
+        # the stop count is never reached: the scan runs out of levels
+        assert _intentional_order(g.adjacency, frozenset({0, 1}), 2) == []
+        assert _intentional_order(g.adjacency, frozenset({1}), 2) == [(1, (0,))]
         assert select_random_failure([], random.Random(0)) is None
 
     @settings(max_examples=200, deadline=None)
@@ -378,7 +397,8 @@ class TestSelectors:
         heap = list(keys)
         heapq.heapify(heap)
         popped = []
-        while (v := _heap_max(alive, heap, degree)) is not None:
+        # no live ids to restart from, so an empty frontier ends on None
+        while (v := select_coordinated(alive, heap, degree, [], random.Random(0))) is not None:
             popped.append(v)
             heapq.heappop(heap)
             alive[v] = False
@@ -670,8 +690,27 @@ class TestRunAttack:
         protected = ProtectedRule(rule, top_frac=0.0, band_frac=1.0, miss_frac=miss)
         spec = StrategySpec("intentional", protected=protected, seed=n)
         hidden = build_protected_set(g, protected, random.Random(spec.seed))
-        got = attacks._removal_order(g, spec, budget)
-        assert got == oracles.heap_intentional_order(g.adjacency, hidden, budget)
+        trace = run_attack(g, spec, budget=budget, cadence=SnapshotCadence(1, None))
+        want = oracles.heap_intentional_order(g.adjacency, hidden, budget)
+        assert (trace.removals, trace.stop_reason) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(shared_loop_cases())
+    @example((1, [], "random_failure", None, "random_live", 0, 1.0))  # one node
+    @example((6, [], "coordinated", None, "random_live", 1, 1.0))  # edgeless: every pick restarts
+    @example((6, [], "greedy_sequential", None, 2, 1, 1.0))  # edgeless: every pick jumps
+    @example((5, [(0, 1)], "lower_bounded_parallel", 0, 2, 0, 1.0))  # isolated start stalls
+    @example((10, [(0, 1), (2, 3)], "random_failure", None, "random_live", 3, 0.1 * 3))  # 4 of 10
+    @example((10, [(0, 1), (2, 3)], "coordinated", None, "max_degree", 3, 3 / 10))  # 3 of 10
+    def test_shared_loop_kinds_match_oracle(self, case):
+        """The random and local kinds' removals and stop reason equal one
+        shared loop's, jumps, restarts, stalls and rounding included."""
+        n, edges, kind, threshold, target, seed, budget = case
+        g = build_graph(n, edges)
+        spec = StrategySpec(kind, threshold=threshold, initial_target=target, seed=seed)
+        trace = run_attack(g, spec, budget=budget, cadence=SnapshotCadence(1, None))
+        want = oracles.shared_loop_order(g.adjacency, kind, seed, budget, threshold, target)
+        assert (trace.removals, trace.stop_reason) == want
 
     def test_fuzz_engine_invariants(self):
         rng = random.Random(11)

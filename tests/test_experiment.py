@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -344,12 +345,12 @@ class TestRunTrials:
                 assert (first.cluster_diameter is not None) == (d_every is not None)
             assert len({trace.snapshots[0].cluster_diameter for trace in traces}) == 1
 
-    def test_pool_capped_at_trial_count(self, monkeypatch):
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Sizes of the pools run_trials opens; the jobs run in this process."""
         opened = []
 
         class RecordingPool:
-            """Runs the jobs in this process; records the requested size."""
-
             def __init__(self, max_workers):
                 opened.append(max_workers)
 
@@ -364,6 +365,10 @@ class TestRunTrials:
 
         # run_trials imports the pool inside its multi-worker branch
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return opened
+
+    def test_pool_capped_at_trial_count(self, monkeypatch, opened):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         cfg = small_config(trials=3, cadence=SnapshotCadence(s_every=10, d_every=None))
         wide = run_trials(cfg, threads=8)
         assert opened == [3]
@@ -372,6 +377,25 @@ class TestRunTrials:
         serial = run_trials(cfg, threads=1)
         assert opened == [3, 2]
         assert [traces for _, traces in wide] == [traces for _, traces in serial]
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch, opened):
+        """No more workers than CPUs the process may use, and none at one CPU."""
+        cfg = small_config(trials=6, cadence=SnapshotCadence(s_every=10, d_every=None))
+        serial = [traces for _, traces in run_trials(cfg, threads=1)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert [traces for _, traces in run_trials(cfg, threads=5000)] == serial
+        assert opened == [3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2}, raising=False)
+        assert [traces for _, traces in run_trials(cfg, threads=4)] == serial
+        assert opened == [3]  # one CPU: the serial path, no pool
+        # where the affinity call is missing, the CPU count caps the pool
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert [traces for _, traces in run_trials(cfg, threads=5000)] == serial
+        assert opened == [3, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert [traces for _, traces in run_trials(cfg, threads=5000)] == serial
+        assert opened == [3, 4]
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # only a run with more than one worker imports the pool
