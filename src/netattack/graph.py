@@ -11,15 +11,19 @@ probes it.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Sequence
 
-# BFS sources per chunk of the distance kernel, in 64-bit words; its
-# arrays grow linearly with this and the member count
+# the tuning of the distance kernel (netattack.distance), which loads
+# with numpy on the first d row:
+# BFS sources per chunk, in 64-bit words; its arrays grow linearly with
+# this and the member count
 _CHUNK_WORDS = 4
-# neighbour columns the kernel gathers as slices, per BFS level; a hub's
+# neighbour columns gathered as slices, per BFS level; a hub's
 # neighbours past them take one gather and OR-reduce
 _COLUMNS = 6
+# leaf share of a cluster from which its pendant trees fold; below it
+# the weight planes cost more than the smaller core saves
+_FOLD_SHARE = 0.1
 
 
 class Graph:
@@ -85,13 +89,16 @@ class Graph:
         """Mean hop count over the member pairs of one whole live cluster.
 
         ``members``, a sequence or int array of ids, must be exactly one
-        connected cluster of the nodes that ``live`` flags, or ValueError
-        is raised. None for fewer than two members.
+        connected cluster of the nodes that ``live`` flags, and ``live``
+        must hold one flag per node, or ValueError is raised. None for
+        fewer than two members.
         """
         import numpy as np
 
         ids = np.asarray(members, dtype=np.intp)
         live = np.frombuffer(bytes(live), dtype=np.uint8)
+        if len(live) != self.node_count:
+            raise ValueError(f"live holds {len(live)} flags for {self.node_count} nodes")
         # first, as numpy indexing would wrap a negative id
         outside = (ids < 0) | (ids >= self.node_count)
         if outside.any():
@@ -102,92 +109,10 @@ class Graph:
         k = len(ids)
         if k < 2:
             return None
-        return self._pair_distance_sum(ids, live) / (k * (k - 1))
+        from .distance import pair_distance_sum
 
-    def _pair_distance_sum(self, ids, live) -> int:
-        """Ordered-pair hop total over a whole cluster, by bit-parallel BFS.
-
-        Multi-source BFS (Then et al., VLDB 2014): each member is a BFS
-        source with its own bit, 64 sources to a uint64 word, and one
-        level of all their searches ORs each member's neighbour rows of
-        the frontier into its row of the next. The neighbours sit in a
-        degree-sorted, column-sliced layout (SELL-C-sigma, Kreutzer et
-        al., SIAM J. Sci. Comput. 36(5), 2014): the members are numbered
-        by descending live degree, so those with a c-th neighbour are a
-        prefix of the numbering, and a level is one contiguous gather per
-        column c < ``_COLUMNS``, ORed into that prefix. Only the
-        neighbours of the hubs past those columns take a gather and an
-        OR-reduce. ``ids`` are the members in any order and ``live`` the
-        live flags, both as numpy arrays. A repeated member, a live
-        neighbour outside the members, a member with no live neighbour, or
-        a search that misses a member raises ValueError.
-        """
-        import numpy as np
-
-        k = len(ids)
-        rows = [self.adjacency[v] for v in ids.tolist()]
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=k)
-        flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
-        up = live[flat] != 0
-        degree = np.bincount(np.repeat(np.arange(k), lengths)[up], minlength=k)
-        order = np.argsort(-degree, kind="stable")
-        local = np.full(self.node_count, -1, dtype=np.intp)
-        local[ids[order]] = np.arange(k)
-        # a repeated member takes one slot for two numbers
-        if np.count_nonzero(local >= 0) != k:
-            raise ValueError("duplicate member ids")
-        # CSR of the live neighbours in the members' degree order, where
-        # -1 is a non-member
-        indices = local[flat[up]]
-        starts = (np.cumsum(degree) - degree)[order]
-        degree = degree[order]
-        # an isolated member sorts last
-        if degree[-1] == 0 or indices.min() < 0:
-            raise ValueError("members are not one whole live cluster")
-        columns = [
-            indices[starts[: np.count_nonzero(degree > c)] + c]
-            for c in range(min(_COLUMNS, degree[0]))
-        ]
-        hubs = np.count_nonzero(degree > _COLUMNS)
-        spill = degree[:hubs] - _COLUMNS
-        spill_starts = np.cumsum(spill) - spill
-        tail = indices[
-            np.repeat(starts[:hubs] + _COLUMNS - spill_starts, spill) + np.arange(spill.sum())
-        ]
-        total = 0
-        for lo in range(0, k, 64 * _CHUNK_WORDS):
-            bit = np.arange(min(k - lo, 64 * _CHUNK_WORDS), dtype=np.uint64)
-            frontier = np.zeros((k, (len(bit) + 63) // 64), dtype=np.uint64)
-            frontier[lo + bit, bit >> 6] = np.uint64(1) << (bit & 63)
-            unseen = ~frontier
-            nxt = np.empty_like(frontier)
-            part = np.empty_like(frontier)
-            tail_rows = np.empty((len(tail), frontier.shape[1]), dtype=np.uint64)
-            reached = 0
-            level = 0
-            while True:
-                level += 1
-                # "clip" (the indices are in range) spares the copy "raise" makes for out=
-                frontier.take(columns[0], axis=0, out=nxt, mode="clip")
-                for column in columns[1:]:
-                    gathered = part[: len(column)]
-                    frontier.take(column, axis=0, out=gathered, mode="clip")
-                    nxt[: len(column)] |= gathered
-                if hubs:
-                    frontier.take(tail, axis=0, out=tail_rows, mode="clip")
-                    np.bitwise_or.reduceat(tail_rows, spill_starts, axis=0, out=part[:hubs])
-                    nxt[:hubs] |= part[:hubs]
-                nxt &= unseen
-                count = int(np.bitwise_count(nxt).sum())
-                if not count:
-                    break
-                unseen ^= nxt
-                reached += count
-                total += level * count
-                frontier, nxt = nxt, frontier
-            if reached != len(bit) * (k - 1):
-                raise ValueError("members are not one whole live cluster")
-        return total
+        total = pair_distance_sum(self.adjacency, ids, live, _CHUNK_WORDS, _COLUMNS, _FOLD_SHARE)
+        return total / (k * (k - 1))
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:

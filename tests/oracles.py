@@ -7,7 +7,7 @@ independent to disagree with.
 
 import heapq
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 
 def components(adjacency: list, alive: list) -> list[frozenset]:
@@ -63,6 +63,75 @@ def floyd_warshall_mean(adjacency: list, alive: list, members) -> float:
     pairs = n * (n - 1) // 2
     total = sum(dist[i][j] for i, j in combinations(range(n), 2))
     return total / pairs
+
+
+def bit_parallel_pair_sum(adjacency: list, members, live, chunk_words=4, columns=6) -> int:
+    """Ordered-pair hop total over a whole live cluster, by plain bit-parallel BFS.
+
+    The engine's distance kernel as it ran before it folded pendant trees:
+    every member is a BFS source with its own bit, 64 sources to a uint64
+    word and ``chunk_words`` words to a chunk, the members numbered by
+    descending live degree, with the first ``columns`` neighbour columns
+    gathered as slices and the rest of each hub's neighbours by one
+    gather and OR-reduce. ``members`` are ids and ``live`` a flag per
+    node, as sequences or bytes. Raises ValueError when the members are
+    not one whole live cluster.
+    """
+    import numpy as np
+
+    ids = np.asarray(members, dtype=np.intp)
+    live = np.frombuffer(bytes(live), dtype=np.uint8)
+    k = len(ids)
+    rows = [adjacency[v] for v in ids.tolist()]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=k)
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
+    up = live[flat] != 0
+    degree = np.bincount(np.repeat(np.arange(k), lengths)[up], minlength=k)
+    order = np.argsort(-degree, kind="stable")
+    local = np.full(len(adjacency), -1, dtype=np.intp)
+    local[ids[order]] = np.arange(k)
+    if np.count_nonzero(local >= 0) != k:
+        raise ValueError("duplicate member ids")
+    indices = local[flat[up]]
+    starts = (np.cumsum(degree) - degree)[order]
+    degree = degree[order]
+    if degree[-1] == 0 or indices.min() < 0:
+        raise ValueError("members are not one whole live cluster")
+    sliced = [
+        indices[starts[: np.count_nonzero(degree > c)] + c] for c in range(min(columns, degree[0]))
+    ]
+    hubs = np.count_nonzero(degree > columns)
+    spill = degree[:hubs] - columns
+    spill_starts = np.cumsum(spill) - spill
+    tail = indices[
+        np.repeat(starts[:hubs] + columns - spill_starts, spill) + np.arange(spill.sum())
+    ]
+    total = 0
+    for lo in range(0, k, 64 * chunk_words):
+        bit = np.arange(min(k - lo, 64 * chunk_words), dtype=np.uint64)
+        frontier = np.zeros((k, (len(bit) + 63) // 64), dtype=np.uint64)
+        frontier[lo + bit, bit >> 6] = np.uint64(1) << (bit & 63)
+        unseen = ~frontier
+        reached = 0
+        level = 0
+        while True:
+            level += 1
+            nxt = frontier[sliced[0]]
+            for column in sliced[1:]:
+                nxt[: len(column)] |= frontier[column]
+            if hubs:
+                nxt[:hubs] |= np.bitwise_or.reduceat(frontier[tail], spill_starts, axis=0)
+            nxt &= unseen
+            count = int(np.bitwise_count(nxt).sum())
+            if not count:
+                break
+            unseen ^= nxt
+            reached += count
+            total += level * count
+            frontier = nxt
+        if reached != len(bit) * (k - 1):
+            raise ValueError("members are not one whole live cluster")
+    return total
 
 
 def live_degree(adjacency: list, alive: list, v: int) -> int:

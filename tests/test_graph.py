@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -11,7 +12,10 @@ import netattack
 import oracles
 from netattack import CrashCriterion, Graph, SnapshotCadence, build_graph
 from netattack import graph as graph_mod
+from netattack.experiment import ExperimentConfig, run_trials
 from netattack.metrics import giant_sizes, measure
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def path_graph(n: int) -> Graph:
@@ -185,6 +189,13 @@ class TestAvgShortestPath:
         with pytest.raises(ValueError, match="duplicate"):
             g.avg_shortest_path([0, 1, 0], g.alive)
 
+    def test_rejects_a_live_mask_of_another_length(self):
+        g = path_graph(4)
+        for live in ([True] * 3, [True] * 5, b""):
+            for members in ([0, 1, 2], [0], []):
+                with pytest.raises(ValueError, match=rf"live holds {len(live)} flags for 4 nodes"):
+                    g.avg_shortest_path(members, live)
+
     def test_rejects_ids_outside_the_graph(self):
         g = path_graph(3)
         # -1 would index node 2, a live neighbour of 1
@@ -329,10 +340,128 @@ class TestAvgShortestPath:
         assert g.avg_shortest_path([1, 2, 3, 4], g.alive) == 20 / 12
 
 
+@st.composite
+def pendant_clusters(draw):
+    """(node count, edges, crashed id) of one cluster: a core, then pendant trees.
+
+    The core is one node, a cycle, or a cycle with chords through node 0
+    (a hub). Each later node hangs off an earlier one: the one before it
+    (chains), node 0 (stars) or any. Node ids are shuffled, and one extra
+    node, crashed by the caller, borders a few members.
+    """
+    core = draw(st.sampled_from(["node", "cycle", "hub"]), label="core")
+    c = 1 if core == "node" else draw(st.integers(3, 10), label="core size")
+    edges = [] if core == "node" else [(v, (v + 1) % c) for v in range(c)]
+    if core == "hub":
+        edges += [(0, v) for v in range(2, c - 1)]
+    hangs = draw(st.lists(st.sampled_from(["chain", "star", "any"]), max_size=30), label="hangs")
+    picks = draw(st.lists(st.integers(0, 10**6), min_size=len(hangs), max_size=len(hangs)))
+    for v, (hang, pick) in enumerate(zip(hangs, picks), start=c):
+        edges.append((v - 1 if hang == "chain" else 0 if hang == "star" else pick % v, v))
+    k = c + len(hangs)
+    crashed_neighbours = [(k, pick % k) for pick in picks[:3]]
+    perm = draw(st.permutations(range(k + 1)), label="ids")
+    return k + 1, [(perm[u], perm[v]) for u, v in edges + crashed_neighbours], perm[k]
+
+
+class TestFold:
+    """Pendant trees fold into the 2-core before the searches run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pendant_clusters(), st.sampled_from([1, 4]), st.sampled_from([1, 2, 6]))
+    def test_matches_floyd_warshall(self, cluster, chunk_words, columns):
+        # trees and stars, cycles with pendant chains, a core of one node
+        # and k = 2 and 3; one chunk holds every weight plane, or each
+        # plane takes its own; with one or two sliced columns the core's
+        # hubs take the OR-reduce
+        n, edges, crashed = cluster
+        g = build_graph(n, edges)
+        g.crash_node(crashed)
+        members = whole_cluster(g)
+        want = None
+        if len(members) >= 2:
+            want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "_FOLD_SHARE", 0.0)
+            mp.setattr(graph_mod, "_CHUNK_WORDS", chunk_words)
+            mp.setattr(graph_mod, "_COLUMNS", columns)
+            assert g.avg_shortest_path(members, bytes(g.alive)) == want
+
+    @pytest.mark.parametrize("chunk_words", [1, 4])
+    def test_weight_planes_across_words_and_chunks(self, monkeypatch, chunk_words):
+        # a cycle of 80 with a leaf on every eighth node: 70 core nodes of
+        # weight 1 fill plane 0 past one word, 10 of weight 2 fill plane 1;
+        # with one word per chunk the three words take three chunks
+        monkeypatch.setattr(graph_mod, "_CHUNK_WORDS", chunk_words)
+        rng = random.Random(80)
+        edges = [(v, (v + 1) % 80) for v in range(80)]
+        edges += [(8 * i, 80 + i) for i in range(10)]
+        edges += [(rng.randrange(80), rng.randrange(80)) for _ in range(6)]
+        g = build_graph(90, edges)
+        assert sum(len(nbrs) == 1 for nbrs in g.adjacency) / 90 >= graph_mod._FOLD_SHARE
+        members = range(90)
+        want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
+        assert g.avg_shortest_path(members, g.alive) == want
+
+    @pytest.mark.parametrize("share", [0.0, graph_mod._FOLD_SHARE])
+    def test_rejects_what_the_plain_kernel_rejects(self, monkeypatch, share):
+        monkeypatch.setattr(graph_mod, "_FOLD_SHARE", share)
+        # a 4-cycle with a pendant chain of two on node 0, then separate
+        # clusters from node 6 on
+        core = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]
+        separate = {
+            "a two-node cluster": [(6, 7)],
+            "a three-node path": [(6, 7), (7, 8)],
+            "a star": [(6, 7), (6, 8), (6, 9)],
+            "a cycle": [(6, 7), (7, 8), (8, 6)],
+        }
+        for edges in separate.values():
+            g = build_graph(10, core + edges)
+            members = sorted({v for edge in core + edges for v in edge})
+            with pytest.raises(ValueError, match="not one whole live cluster"):
+                g.avg_shortest_path(members, g.alive)
+        # two paths of three: each folds down to one node, apart from the other
+        g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with pytest.raises(ValueError, match="not one whole live cluster"):
+            g.avg_shortest_path(range(6), g.alive)
+        g = build_graph(7, core)
+        with pytest.raises(ValueError, match="duplicate member ids"):
+            g.avg_shortest_path([0, 1, 2, 3, 4, 5, 4], g.alive)
+        # node 6 is an isolated member
+        with pytest.raises(ValueError, match="not one whole live cluster"):
+            g.avg_shortest_path(range(7), g.alive)
+
+    def test_matches_the_plain_kernel_on_the_shipped_d_rows(self, monkeypatch):
+        """Every d row of ba_intentional_vs_random at graph seeds 0 and 1
+        gives the plain kernel's exact hop total, folded or not."""
+        config = ExperimentConfig.from_file(CONFIGS / "ba_intentional_vs_random.json")
+        rows = []
+        kernel = Graph.avg_shortest_path
+
+        def recording(g, members, live):
+            d = kernel(g, members, live)
+            rows.append((g, members, live, d))
+            return d
+
+        monkeypatch.setattr(Graph, "avg_shortest_path", recording)
+        run_trials(dataclasses.replace(config, trials=2))
+        folded = 0
+        for g, members, live, d in rows:
+            k = len(members)
+            if k < 2:
+                assert d is None
+                continue
+            leaves = sum(sum(live[u] for u in g.adjacency[v]) == 1 for v in members.tolist())
+            folded += leaves >= graph_mod._FOLD_SHARE * k
+            assert d == oracles.bit_parallel_pair_sum(g.adjacency, members, live) / (k * (k - 1))
+        assert len(rows) == 22
+        assert folded >= 10
+
+
 def test_import_leaves_numpy_unloaded(tmp_path):
-    # numpy loads on the first d row, so start-up and a d-free sweep skip
-    # it; statistics would pull in fractions and decimal; logging loads
-    # only to warn of dropped edges
+    # numpy and the distance kernel load on the first d row, so start-up
+    # and a d-free sweep skip them; statistics would pull in fractions
+    # and decimal; logging loads only to warn of dropped edges
     config = {
         "network": {"ba": {"n": 300, "m": 2}},
         "strategies": [{"kind": "intentional"}, {"kind": "random_failure"}],
@@ -343,7 +472,8 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     code = (
         f"import sys; sys.path.insert(0, {str(Path(netattack.__file__).parents[1])!r}); "
         "import netattack; "
-        "heavy = lambda: sorted({'numpy', 'scipy', 'statistics', 'logging'} & set(sys.modules)); "
+        "heavy = lambda: sorted({'numpy', 'scipy', 'statistics', 'logging', 'netattack.distance'}"
+        " & set(sys.modules)); "
         "print(heavy()); "
         f"config = netattack.ExperimentConfig.from_json({config!r}); "
         f"netattack.run_experiment(config, output_dir={str(tmp_path / 'out')!r}); "
