@@ -32,6 +32,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush, heapreplace
+from itertools import chain, islice, pairwise
 from typing import Sequence
 
 from .graph import Graph
@@ -122,6 +123,9 @@ class StrategySpec:
 class AttackTrace:
     """Complete record of one attack run: what fell when, and the curve.
 
+    The removal record is ``order``, every removed id in removal order,
+    and ``ends``, the removal count after each step, so step k removed
+    ``order[ends[k - 2]:ends[k - 1]]`` (from 0 at step 1).
     ``exact_crash_threshold`` is the removal fraction at the first step
     whose S meets the run's crash criterion, or None. ``order_s`` and
     ``measure_s`` time the removal loop and the measuring, and ``d_s``
@@ -131,13 +135,20 @@ class AttackTrace:
 
     total_nodes: int
     strategy_key: str
-    removals: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    order: list[int] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
     snapshots: list[MetricsRow] = field(default_factory=list)
     stop_reason: str = ""
     exact_crash_threshold: float | None = None
     order_s: float = field(default=0.0, compare=False)
     measure_s: float = field(default=0.0, compare=False)
     d_s: float = field(default=0.0, compare=False)
+
+    @property
+    def removals(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The record as ``(step, batch)`` pairs from step 1, built afresh on each read."""
+        order = self.order
+        return [(k, tuple(order[lo:hi])) for k, (lo, hi) in enumerate(pairwise([0, *self.ends]), 1)]
 
     @property
     def removed_count(self) -> int:
@@ -158,19 +169,16 @@ def build_protected_set(g: Graph, rule: ProtectedRule, rng: random.Random) -> fr
     """
     if rule.kind == "none":
         return frozenset()
-    degree = [len(nbrs) for nbrs in g.adjacency]
+    # ids by descending degree, ascending on ties, read down the levels
+    # only as far as a rule reaches
+    ranked = chain.from_iterable(reversed(g.degree_levels()))
     if rule.kind == "miss_biggest_hub":
-        # the smallest id of maximum degree
-        return frozenset({degree.index(max(degree))}) if degree else frozenset()
+        return frozenset(islice(ranked, 1))
     n = g.node_count
-    # stable, so equal degrees keep ascending id order
-    order = sorted(range(n), key=degree.__getitem__, reverse=True)
     top_n = math.ceil(rule.top_frac * n)
     # floor at the band stage: a fractional tail node stays out of the band
     band_n = math.floor(rule.band_frac * n)
-    band = order[top_n : top_n + band_n]
-    if not band:
-        return frozenset()
+    band = list(islice(ranked, top_n, top_n + band_n))
     # miss_frac <= 1, so the count never exceeds the band
     return frozenset(rng.sample(band, math.ceil(rule.miss_frac * len(band))))
 
@@ -265,8 +273,7 @@ def _resolve_initial(g: Graph, spec: StrategySpec, rng: random.Random) -> int:
             raise ValueError(f"initial_target {spec.initial_target} is not a live node")
         return spec.initial_target
     if spec.initial_target == "max_degree":
-        degree = [len(nbrs) for nbrs in g.adjacency]
-        return degree.index(max(degree))
+        return g.degree_levels()[-1][0]
     # every node is still live, in id order: the draw select_random_failure makes
     return rng.randrange(g.node_count)
 
@@ -308,13 +315,15 @@ def run_attack(
     n = g.node_count
     stop = bisect_left(range(1, n + 1), budget, key=lambda r: r / n) + 1
     started = time.perf_counter()
-    removals = _removal_order(g, spec, stop)
+    order, ends = _removal_order(g, spec, stop)
     ordered = time.perf_counter()
     rows, kept, exact, d_s = measure(
-        g, removals, cadence, criterion, early_stop, intact_d=intact_d
+        g, order, ends, cadence, criterion, early_stop, intact_d=intact_d
     )
     if kept is not None:
-        removals, stop_reason = removals[:kept], STOP_NETWORK_CRASHED
+        del ends[kept:]
+        del order[ends[-1] if ends else 0 :]
+        stop_reason = STOP_NETWORK_CRASHED
     elif rows[-1].removed_count == n:
         stop_reason = STOP_GRAPH_EXHAUSTED
     elif rows[-1].removed_count >= stop:
@@ -324,7 +333,8 @@ def run_attack(
     return AttackTrace(
         total_nodes=n,
         strategy_key=spec.label,
-        removals=removals,
+        order=order,
+        ends=ends,
         snapshots=rows,
         stop_reason=stop_reason,
         exact_crash_threshold=exact,
@@ -334,17 +344,19 @@ def run_attack(
     )
 
 
-def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> list[tuple[int, tuple[int, ...]]]:
+def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> tuple[list[int], list[int]]:
     """Crash batch by batch until ``stop`` nodes are down or the attack stalls.
 
-    The loop keeps its crash state in plain lists and leaves ``g`` as it
-    is. The intentional kind runs its own loop, :func:`_intentional_order`.
-    The first target is :func:`_resolve_initial`'s; each later pick is
-    one call of the kind's selector, looked up as a module global so
-    that a wrapper put there sees every call. Only the lower-bounded
-    avalanche can come up empty, which stalls it. The kinds that draw at
-    random keep the live ids in ``live``, with each one's slot in
-    ``pos`` for an O(1) swap-remove.
+    Returns the removal record, ``order`` and ``ends`` as
+    :class:`AttackTrace` keeps them. The loop keeps its crash state in
+    plain lists and leaves ``g`` as it is. The intentional kind runs its
+    own loop, :func:`_intentional_order`. The first target is
+    :func:`_resolve_initial`'s; each later pick is one call of the
+    kind's selector, looked up as a module global so that a wrapper put
+    there sees every call. Only the lower-bounded avalanche can come up
+    empty, which stalls it. The kinds that draw at random keep the live
+    ids in ``live``, with each one's slot in ``pos`` for an O(1)
+    swap-remove.
     """
     n = g.node_count
     adjacency = g.adjacency
@@ -352,20 +364,22 @@ def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> list[tuple[int, t
     rng = random.Random(spec.seed)
     protected = build_protected_set(g, spec.protected, rng)
     if kind == "intentional":
-        return _intentional_order(adjacency, protected, stop)
+        order = _intentional_order(g, protected, stop)
+        return order, list(range(1, len(order) + 1))
 
     alive = [True] * n
-    degree = [len(nbrs) for nbrs in adjacency]
+    degree = list(map(len, adjacency))
     live = None if kind == "lower_bounded_parallel" else list(range(n))
     pos = list(range(n)) if live else None
     # coordinated's lazy max-heap, keyed v - degree * n: it starts empty and
     # pushes a node once, when it first joins the frontier
     heap: list[int] = []
     queued = bytearray(n) if kind == "coordinated" else None
-    removals: list[tuple[int, tuple[int, ...]]] = []
-    removed = 0
-    batch = (_resolve_initial(g, spec, rng),)
-    while batch:
+    order = [_resolve_initial(g, spec, rng)]
+    ends: list[int] = []
+    lo = 0  # where the step's batch starts in order
+    while lo < len(order):
+        batch = order[lo:]
         for v in batch:
             alive[v] = False
             degree[v] = 0
@@ -377,8 +391,7 @@ def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> list[tuple[int, t
                 if last != v:
                     live[pos[v]] = last
                     pos[last] = pos[v]
-        removed += len(batch)
-        removals.append((len(removals) + 1, tuple(batch)))
+        ends.append(len(order))
         if heap:  # a non-empty heap supplied the pick, as its top
             heappop(heap)
         if queued is not None:
@@ -386,43 +399,40 @@ def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> list[tuple[int, t
                 if alive[u] and not queued[u]:
                     queued[u] = 1
                     heappush(heap, u - degree[u] * n)
-        if removed >= stop:
+        if len(order) >= stop:
             break
+        lo = len(order)
         if kind == "lower_bounded_parallel":
-            batch = step_lower_bounded(alive, batch, adjacency, spec.threshold)
+            order += step_lower_bounded(alive, batch, adjacency, spec.threshold)
         elif kind == "random_failure":
-            batch = (select_random_failure(live, rng),)
+            order.append(select_random_failure(live, rng))
         elif kind == "greedy_sequential":
-            batch = (select_greedy_sequential(alive, adjacency[batch[-1]], degree, live, rng),)
+            order.append(select_greedy_sequential(alive, adjacency[batch[-1]], degree, live, rng))
         else:
-            batch = (select_coordinated(alive, heap, degree, live, rng),)
-    return removals
+            order.append(select_coordinated(alive, heap, degree, live, rng))
+    return order, ends
 
 
-def _intentional_order(
-    adjacency: list[list[int]], protected: frozenset[int], stop: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The intentional attack's removals, by degree levels, up to ``stop``.
+def _intentional_order(g: Graph, protected: frozenset[int], stop: int) -> list[int]:
+    """The intentional attack's removed ids, by degree levels, up to ``stop``.
 
-    Every unprotected live node is filed in ``levels`` at or above its
-    live degree: first at its initial degree, and again, lower, whenever
-    a scan meets it after its degree has fallen. Crashed and protected
-    nodes hold a degree below 0, which decrements only lower, and are
-    dropped when met. Live degrees only fall, so while level d is the
-    top one, every node of degree d is filed there and none joins it:
-    its sorted candidates are scanned once, and each one still at
-    degree d is in turn the live node of highest degree, smallest id on
-    ties. :func:`select_intentional` hands over the next level when a
-    scan runs out; the order stalls when none is left.
+    The scan starts from a copy of ``g``'s degree levels, and files an
+    unprotected live node again, lower, whenever it meets one whose
+    live degree has fallen below its level. Crashed and protected nodes
+    hold a degree below 0, which decrements only lower, and are dropped
+    when met. Live degrees only fall, so while level d is the top one,
+    every node of degree d is filed there and none joins it: its sorted
+    candidates are scanned once, and each one still at degree d is in
+    turn the live node of highest degree, smallest id on ties.
+    :func:`select_intentional` hands over the next level when a scan
+    runs out; the order stalls when none is left.
     """
+    adjacency = g.adjacency
     degree = list(map(len, adjacency))
-    levels: list[list[int]] = [[] for _ in range(max(degree, default=-1) + 1)]
-    for v, d in enumerate(degree):
-        levels[d].append(v)
+    levels = list(map(list, g.degree_levels()))
     for v in protected:
         degree[v] = -1
-    removals: list[tuple[int, tuple[int, ...]]] = []
-    removed = 0
+    order: list[int] = []
     while candidates := select_intentional(levels):
         d = len(levels)
         for v in candidates:
@@ -434,8 +444,7 @@ def _intentional_order(
             degree[v] = -1
             for u in adjacency[v]:
                 degree[u] -= 1
-            removed += 1
-            removals.append((removed, (v,)))
-            if removed == stop:
-                return removals
-    return removals
+            order.append(v)
+            if len(order) == stop:
+                return order
+    return order

@@ -30,7 +30,8 @@ class Graph:
     """Simple undirected graph supporting irreversible node crashes.
 
     Build instances through :func:`build_graph` or the generators module.
-    ``adjacency`` must not be mutated.
+    ``adjacency`` must not be mutated. ``_levels`` caches
+    :meth:`degree_levels`: None until the graph's first attack asks.
     """
 
     __slots__ = (
@@ -40,6 +41,7 @@ class Graph:
         "live_count",
         "dropped_duplicates",
         "dropped_self_loops",
+        "_levels",
     )
 
     def __init__(
@@ -56,12 +58,27 @@ class Graph:
         self.live_count = n
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
+        self._levels = None
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
+
+    def degree_levels(self) -> tuple[tuple[int, ...], ...]:
+        """Ids by construction-time degree: entry d holds those of degree d, ascending.
+
+        Entries run from 0 to the maximum degree, so the last is never
+        empty. Filed on the first call and kept, so every attack on the
+        graph reads the same levels.
+        """
+        if self._levels is None:
+            levels = [[] for _ in range(max(map(len, self.adjacency), default=-1) + 1)]
+            for v, nbrs in enumerate(self.adjacency):
+                levels[len(nbrs)].append(v)
+            self._levels = tuple(map(tuple, levels))
+        return self._levels
 
     def live_neighbors(self, v: int) -> set[int]:
         """Live neighbors of v; valid for crashed v as well."""

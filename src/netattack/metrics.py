@@ -19,16 +19,13 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from operator import itemgetter
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Sequence
 
 from .graph import Graph
 
 if TYPE_CHECKING:
     from .attacks import AttackTrace
-
-Removals = Sequence[tuple[int, Sequence[int]]]
 
 
 class _Default(Enum):
@@ -94,21 +91,24 @@ class MetricsRow:
 
 def giant_sizes(
     adjacency: Sequence[Sequence[int]],
-    removals: Removals,
+    order: Sequence[int],
+    ends: Sequence[int],
     cluster_steps: Collection[int],
     of_cluster: Callable[[Any, bytes], Any],
 ) -> tuple[list[int], dict[int, Any]]:
-    """Largest live cluster after each step of a removal order.
+    """Largest live cluster after each step of a removal record.
 
-    ``removals`` holds ``(step, batch)`` pairs as in an attack trace;
-    entry ``i`` of the sizes is the largest cluster size once the first
-    ``i`` batches are gone, so entry 0 is the intact graph. One reverse
-    pass (Newman & Ziff, PRL 85, 4104, 2000): a union-find, by size with
-    path halving, is seeded with the nodes no batch removes, then the
-    batches are added back last to first, and the running maximum before
-    each batch is the size after it. A node's parent is -1 until the
-    pass adds it, so the parents double as the live mask. A node removed
-    twice raises ValueError.
+    ``order`` lists the removed ids in removal order and ``ends`` the
+    removal count after each step, as an attack trace keeps them; entry
+    ``k`` of the sizes is the largest cluster size once the first ``k``
+    steps are done, so entry 0 is the intact graph. One reverse pass
+    (Newman & Ziff, PRL 85, 4104, 2000): a union-find, by size with path
+    halving, adds the nodes the order leaves live, then the order from
+    its end, in one loop. Just before it adds back the last id a step
+    removed, the running maximum is that step's size. A node's parent is
+    -1 until the pass adds it, so the parents double as the live mask.
+    An id outside [0, n), an id removed twice, or ``ends`` that do not
+    rise from 0 to ``len(order)`` raise ValueError.
 
     When the pass reaches a step in ``cluster_steps`` it calls
     ``of_cluster(members, live)`` on that step's largest cluster: its
@@ -118,42 +118,55 @@ def giant_sizes(
     step first.
     """
     n = len(adjacency)
-    removed = bytearray(n)
-    for _, batch in removals:
-        for v in batch:
-            if removed[v]:
-                raise ValueError(f"node {v} is removed twice")
-            removed[v] = 1
+    counts = [0, *ends]
+    if counts != sorted(counts) or counts[-1] != len(order):
+        raise ValueError(f"ends must rise from 0 to the {len(order)} ids of the order")
+    if order and not (0 <= min(order) and max(order) < n):
+        v = next(v for v in order if not 0 <= v < n)
+        raise ValueError(f"node id {v} outside [0, {n})")
+    live = bytearray(b"\x01") * n
+    for v in order:
+        live[v] = 0
+    if live.count(0) != len(order):
+        seen: set[int] = set()
+        v = next(v for v in order if v in seen or seen.add(v))
+        raise ValueError(f"node {v} is removed twice")
     parent = [-1] * n
     size = [1] * n
     best = 0
-    sizes = []  # last step first, reversed at the end
+    sizes = [0] * len(counts)
     results = {}
-    step = len(removals)
-    groups = [[v for v in range(n) if not removed[v]]]
-    groups += [batch for _, batch in reversed(removals)]
-    for group in groups:
-        for v in group:
-            parent[v] = root = v
-            for u in adjacency[v]:
-                p = parent[u]
-                if p < 0:
-                    continue
-                while p != u:  # path halving
-                    p = parent[u] = parent[p]
-                    u, p = p, parent[p]
-                if u != root:
-                    if size[u] > size[root]:
-                        root, u = u, root
-                    parent[u] = root
-                    size[root] += size[u]
-            if size[root] > best:
-                best = size[root]
-        sizes.append(best)
+    step = len(ends)
+    # a step's size is the running maximum as the walk meets the last id
+    # that the step removed, before it adds that id back
+    mark = order[-1] if order else -1
+    for v in chain(compress(range(n), live), reversed(order)):
+        while v == mark:
+            sizes[step] = best
+            if step in cluster_steps:
+                results[step] = of_cluster(*_cluster_of_size(parent, size, best))
+            step -= 1
+            mark = order[counts[step] - 1] if counts[step] else -1
+        parent[v] = root = v
+        for u in adjacency[v]:
+            p = parent[u]
+            if p < 0:
+                continue
+            while p != u:  # path halving
+                p = parent[u] = parent[p]
+                u, p = p, parent[p]
+            if u != root:
+                if size[u] > size[root]:
+                    root, u = u, root
+                parent[u] = root
+                size[root] += size[u]
+        if size[root] > best:
+            best = size[root]
+    # step 0, and the first steps if they removed nothing
+    for step in range(step, -1, -1):
+        sizes[step] = best
         if step in cluster_steps:
             results[step] = of_cluster(*_cluster_of_size(parent, size, best))
-        step -= 1
-    sizes.reverse()
     return sizes, results
 
 
@@ -184,25 +197,27 @@ def snapshot(g: Graph) -> float | None:
     """d of the graph as it stands: mean path length in its largest cluster.
 
     None when that cluster has fewer than two nodes. The cluster comes
-    off :func:`giant_sizes`, with ``g``'s crashed nodes as one batch.
+    off :func:`giant_sizes`, with ``g``'s crashed nodes as one step.
     """
-    crashed = tuple(v for v, up in enumerate(g.alive) if not up)
-    _, d = giant_sizes(g.adjacency, [(1, crashed)], (1,), g.avg_shortest_path)
+    crashed = [v for v, up in enumerate(g.alive) if not up]
+    _, d = giant_sizes(g.adjacency, crashed, [len(crashed)], (1,), g.avg_shortest_path)
     return d[1]
 
 
 def measure(
     g: Graph,
-    removals: Removals,
+    order: Sequence[int],
+    ends: Sequence[int],
     cadence: SnapshotCadence,
     criterion: CrashCriterion,
     early_stop: bool,
     *,
     intact_d: float | None = None,
 ) -> tuple[list[MetricsRow], int | None, float | None, float]:
-    """Rows of S and d along a finished removal order of the fresh ``g``.
+    """Rows of S and d along a finished removal record of the fresh ``g``.
 
-    ``removals`` is numbered from step 1, as an attack trace holds it.
+    ``order`` and ``ends`` are the record as an attack trace holds it:
+    the removed ids, and the removal count after each step from step 1.
     ``cadence`` is resolved against ``g``'s node count here. Rows sit at
     step 0, at each step whose removal count crosses an ``s_every`` or
     ``d_every`` mark, and at the last step. When ``d_every`` is set, d
@@ -214,7 +229,7 @@ def measure(
     the first step whose S meets the criterion, which one bisection
     finds; d rows past the cut are measured and dropped.
 
-    Returns the rows, the number of batches kept by the cut (None when
+    Returns the rows, the number of steps kept by the cut (None when
     nothing was cut), the exact crash threshold (the removal fraction
     at the first step whose S meets the criterion, or None) and the
     seconds spent measuring d.
@@ -222,8 +237,8 @@ def measure(
     n = g.node_count
     cadence = cadence.resolve(n)
     s_every, d_every = cadence.s_every, cadence.d_every
-    last = len(removals)
-    counts = list(accumulate(map(len, map(itemgetter(1), removals)), initial=0))
+    last = len(ends)
+    counts = [0, *ends]
 
     def crossing(every: int) -> set[int]:
         """Steps whose removal count passes a multiple of ``every``: each
@@ -241,7 +256,7 @@ def measure(
         started = time.perf_counter()
         return g.avg_shortest_path(members, live), time.perf_counter() - started
 
-    sizes, timed = giant_sizes(g.adjacency, removals, d_steps.difference(known), timed_d)
+    sizes, timed = giant_sizes(g.adjacency, order, ends, d_steps.difference(known), timed_d)
     ds = {step: d for step, (d, _) in timed.items()} | known
     d_s = sum(seconds for _, seconds in timed.values())
     # sizes never grow along the order, so the crashed steps are a suffix

@@ -7,7 +7,7 @@ independent to disagree with.
 
 import heapq
 import random
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 
 def components(adjacency: list, alive: list) -> list[frozenset]:
@@ -282,6 +282,72 @@ def shared_loop_order(
             return removals, "graph_exhausted"
         if removed / n >= budget:
             return removals, "budget_exhausted"
+
+
+def flat(removals) -> tuple[list, list]:
+    """``(order, ends)`` of ``(step, batch)`` pairs: the ids in removal
+    order, and the removal count after each step."""
+    order = [v for _, batch in removals for v in batch]
+    return order, list(accumulate(len(batch) for _, batch in removals))
+
+
+def batch_giant_sizes(adjacency: list, removals, cluster_steps, of_cluster) -> tuple[list, dict]:
+    """(largest cluster size after each step, ``of_cluster`` results by step).
+
+    The reverse union-find pass as it ran on ``(step, batch)`` pairs:
+    seeded with the nodes no batch removes, it adds the batches back
+    last to first, one group at a time, and the running maximum once a
+    group is in is the size after the step before it. At a requested
+    step it hands ``of_cluster`` the biggest cluster, the one holding
+    the smallest id on a size tie, as an ascending int array, with the
+    live flags as bytes; roots are found one node at a time.
+    """
+    import numpy as np
+
+    n = len(adjacency)
+    removed = [False] * n
+    for _, batch in removals:
+        for v in batch:
+            if removed[v]:
+                raise ValueError(f"node {v} is removed twice")
+            removed[v] = True
+    parent = [-1] * n
+    size = [1] * n
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    best = 0
+    sizes = []
+    results = {}
+    step = len(removals)
+    groups = [[v for v in range(n) if not removed[v]]]
+    groups += [batch for _, batch in reversed(removals)]
+    for group in groups:
+        for v in group:
+            parent[v] = v
+            for u in adjacency[v]:
+                if parent[u] < 0:
+                    continue
+                a, b = find(u), find(v)
+                if a != b:
+                    if size[a] > size[b]:
+                        a, b = b, a
+                    parent[a] = b
+                    size[b] += size[a]
+            best = max(best, size[find(v)])
+        sizes.append(best)
+        if step in cluster_steps:
+            live = [p >= 0 for p in parent]
+            roots = [find(v) if live[v] else -1 for v in range(n)]
+            first = next((v for v in range(n) if live[v] and size[roots[v]] == best), None)
+            members = [v for v in range(n) if first is not None and roots[v] == roots[first]]
+            results[step] = of_cluster(np.array(members, dtype=np.intp), bytes(live))
+        step -= 1
+    sizes.reverse()
+    return sizes, results
 
 
 def read_off(members, live) -> tuple[list, bytes]:

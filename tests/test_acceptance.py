@@ -346,7 +346,7 @@ def test_criterion_08_oracle_equivalence(criterion_report):
             removals.append((len(removals) + 1, tuple(order[lo:hi])))
             lo = hi
         steps = range(len(removals) + 1)
-        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
+        sizes, clusters = giant_sizes(g.adjacency, *oracles.flat(removals), steps, oracles.read_off)
         alive = [True] * n
         for step, batch in [(0, ())] + removals:
             for v in batch:
@@ -365,8 +365,8 @@ def test_criterion_08_oracle_equivalence(criterion_report):
     while path_checked < 50:
         n = rng.randrange(3, 51)
         g = build_graph(n, oracles.random_connected_edges(rng, n))
-        crashed = tuple(rng.sample(range(n), rng.randrange(n // 4 + 1)))
-        _, clusters = giant_sizes(g.adjacency, [(1, crashed)], (1,), oracles.read_off)
+        crashed = rng.sample(range(n), rng.randrange(n // 4 + 1))
+        _, clusters = giant_sizes(g.adjacency, crashed, [len(crashed)], (1,), oracles.read_off)
         members, live = clusters[1]
         if len(members) < 2:
             continue

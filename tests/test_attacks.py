@@ -144,6 +144,27 @@ class TestProtectedRule:
         assert a == b
         assert a != c
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_rules_read_the_sorted_ranking(self, n, data):
+        """Both rules read the ranking a stable sort of every id by
+        descending initial degree gives, in its order, so the seeded
+        sample draws what it would draw from that sort's band."""
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+        g = build_graph(n, edges)
+        degree = [len(nbrs) for nbrs in g.adjacency]
+        ranked = sorted(range(n), key=lambda v: -degree[v])
+        hub = build_protected_set(g, ProtectedRule("miss_biggest_hub"), random.Random(0))
+        assert hub == frozenset(ranked[:1])
+        top, band, miss = (data.draw(st.floats(0.0, 1.0)) for _ in range(3))
+        rule = ProtectedRule("miss_medium_band", top, band, max(miss, 0.01))
+        seed = data.draw(st.integers(0, 2**32))
+        top_n = math.ceil(top * n)
+        want = ranked[top_n : top_n + math.floor(band * n)]
+        want = random.Random(seed).sample(want, math.ceil(rule.miss_frac * len(want)))
+        assert build_protected_set(g, rule, random.Random(seed)) == frozenset(want)
+
 
 @st.composite
 def strategy_specs(draw) -> StrategySpec:
@@ -340,8 +361,7 @@ def live_ids(g):
 
 def intentional_picks(g, protected=frozenset()):
     """The intentional attack's pick order on fresh ``g``, up to every node."""
-    removals = _intentional_order(g.adjacency, frozenset(protected), g.node_count)
-    return [v for _, (v,) in removals]
+    return _intentional_order(g, frozenset(protected), g.node_count)
 
 
 class TestSelectors:
@@ -378,8 +398,8 @@ class TestSelectors:
         assert select_intentional([[], []]) == []
         g = build_graph(2, [(0, 1)])
         # the stop count is never reached: the scan runs out of levels
-        assert _intentional_order(g.adjacency, frozenset({0, 1}), 2) == []
-        assert _intentional_order(g.adjacency, frozenset({1}), 2) == [(1, (0,))]
+        assert _intentional_order(g, frozenset({0, 1}), 2) == []
+        assert _intentional_order(g, frozenset({1}), 2) == [0]
         assert select_random_failure([], random.Random(0)) is None
 
     @settings(max_examples=200, deadline=None)
@@ -450,7 +470,78 @@ class TestSelectors:
         assert step_lower_bounded(g.alive, [5, 4], g.adjacency, threshold=1) == [0, 1, 2, 3]
 
 
+@st.composite
+def shared_graph_cases(draw):
+    """(n, edges, specs, budget): a config's strategies on one graph.
+
+    The specs take every kind, in any order: both protected rules, with
+    a band whose edges fall inside degree levels and any miss share, and
+    ``max_degree`` first targets, which small graphs make ties for.
+    """
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    top, band = draw(st.sampled_from(((0.0, 0.5), (0.1, 0.3), (0.25, 1.0))))
+    miss = draw(st.floats(0.01, 1.0))
+    target = draw(st.sampled_from(("max_degree", "random_live")))
+    specs = [
+        StrategySpec("intentional"),
+        StrategySpec("intentional", ProtectedRule("miss_biggest_hub")),
+        StrategySpec("intentional", ProtectedRule("miss_medium_band", top, band, miss)),
+        StrategySpec("random_failure"),
+        StrategySpec("greedy_sequential", initial_target=target),
+        StrategySpec("coordinated", initial_target="max_degree"),
+        StrategySpec("lower_bounded_parallel", threshold=draw(st.integers(0, 3)), initial_target=target),
+    ]
+    seed = draw(st.integers(0, 2**32))
+    specs = [spec.with_seed(seed + i) for i, spec in enumerate(draw(st.permutations(specs)))]
+    return n, edges, specs, draw_budget(draw, n)
+
+
+# two hubs of degree 3 tie for the top, and the band [0, 4, 1, 2] cuts
+# the level of degree 1 in two
+TIED_HUBS = [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]
+TIED_SPECS = [
+    StrategySpec("coordinated", initial_target="max_degree", seed=1),
+    StrategySpec("intentional", ProtectedRule("miss_medium_band", 0.0, 0.5, 0.5), seed=2),
+    StrategySpec("intentional", ProtectedRule("miss_biggest_hub"), seed=3),
+    StrategySpec("lower_bounded_parallel", threshold=0, initial_target="max_degree", seed=4),
+]
+
+
 class TestRunAttack:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_graph_cases())
+    @example((8, TIED_HUBS, TIED_SPECS, 1.0))
+    def test_strategies_on_one_graph_match_fresh_graphs(self, case):
+        """A trial runs every strategy on one graph, whose degree levels the
+        first attack files; each trace equals the one a freshly built
+        graph gives."""
+        n, edges, specs, budget = case
+        g = build_graph(n, edges)
+        cadence = SnapshotCadence(1, None)
+        shared = [run_attack(g, spec, budget=budget, cadence=cadence) for spec in specs]
+        fresh = [
+            run_attack(build_graph(n, edges), spec, budget=budget, cadence=cadence)
+            for spec in specs
+        ]
+        assert shared == fresh
+        assert g.degree_levels() == build_graph(n, edges).degree_levels()
+
+    def test_degree_levels_are_filed_on_the_first_attack(self):
+        g = materialize_graph(("ba", 60, 2), 0)
+        assert g._levels is None  # not at build time
+        run_attack(g, StrategySpec("random_failure"))
+        assert g._levels is None  # nothing read them
+        first = run_attack(g, StrategySpec("intentional"))
+        levels = g.degree_levels()
+        assert run_attack(g, StrategySpec("intentional")) == first
+        assert g.degree_levels() is levels
+        degree = [len(nbrs) for nbrs in g.adjacency]
+        assert levels == tuple(
+            tuple(v for v in range(60) if degree[v] == d) for d in range(max(degree) + 1)
+        )
+
     def test_requires_fresh_graph_and_sane_budget(self):
         g = star_plus_tail()
         with pytest.raises(ValueError, match="budget"):
@@ -799,7 +890,8 @@ class TestRunAttack:
         g = generate_ba(BaParams(300, 2, seed=12))
         spec = StrategySpec("random_failure", seed=4)
         no_d = SnapshotCadence(s_every=5, d_every=None)
-        removals = run_attack(g, spec, budget=0.4, cadence=no_d).removals
+        trace = run_attack(g, spec, budget=0.4, cadence=no_d)
+        record = (trace.order, trace.ends)
         calls = []
         kernel = Graph.avg_shortest_path
 
@@ -812,17 +904,17 @@ class TestRunAttack:
 
         monkeypatch.setattr(Graph, "avg_shortest_path", counted)
         monkeypatch.setattr(Graph, "crash_node", replay)
-        rows, _, _, _ = measure(g, removals, no_d, CrashCriterion(), False)
+        rows, _, _, _ = measure(g, *record, no_d, CrashCriterion(), False)
         assert len(rows) == 25
         assert calls == []
         with_d = SnapshotCadence(s_every=5, d_every=40)
-        rows, _, _, _ = measure(g, removals, with_d, CrashCriterion(), False)
+        rows, _, _, _ = measure(g, *record, with_d, CrashCriterion(), False)
         d_rows = [r.removed_count for r in rows if r.cluster_diameter is not None]
         assert d_rows == [0, 40, 80, 120]
         # live nodes at each d row, in any order: the pass meets the last first
         assert sorted(calls, reverse=True) == [300, 260, 220, 180]
         calls.clear()
         intact_d = rows[0].cluster_diameter
-        shared, _, _, _ = measure(g, removals, with_d, CrashCriterion(), False, intact_d=intact_d)
+        shared, _, _, _ = measure(g, *record, with_d, CrashCriterion(), False, intact_d=intact_d)
         assert shared == rows
         assert sorted(calls, reverse=True) == [260, 220, 180]  # none at step 0

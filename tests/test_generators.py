@@ -52,7 +52,7 @@ class TestGenerateBa:
 
     def test_every_node_connected(self):
         g = generate_ba(BaParams(300, 2, seed=3))
-        sizes, clusters = giant_sizes(g.adjacency, [], (0,), oracles.read_off)
+        sizes, clusters = giant_sizes(g.adjacency, [], [], (0,), oracles.read_off)
         assert sizes == [300]
         assert sorted(clusters[0][0]) == list(range(300))
         assert min(map(len, g.adjacency)) >= 1

@@ -69,7 +69,7 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.live_count == 0
-        assert giant_sizes(g.adjacency, [], (0,), oracles.read_off) == ([0], {0: ([], b"")})
+        assert giant_sizes(g.adjacency, [], [], (0,), oracles.read_off) == ([0], {0: ([], b"")})
 
 
 class TestCrash:
@@ -119,14 +119,14 @@ class TestDegreeTracking:
 def clusters_at_every_step(g: Graph, removals) -> dict:
     """The pass's (members, live mask) after each batch of ``removals``."""
     steps = range(len(removals) + 1)
-    return giant_sizes(g.adjacency, removals, steps, oracles.read_off)[1]
+    return giant_sizes(g.adjacency, *oracles.flat(removals), steps, oracles.read_off)[1]
 
 
 class TestClusters:
     def test_fraction_uses_original_node_count(self):
         g = path_graph(3)
         cadence = SnapshotCadence(s_every=1, d_every=None)
-        rows, _, _, _ = measure(g, [(1, (1,))], cadence, CrashCriterion(), early_stop=False)
+        rows, _, _, _ = measure(g, [1], [1], cadence, CrashCriterion(), early_stop=False)
         assert rows[-1].giant_fraction == pytest.approx(1 / 3)
         members, live = clusters_at_every_step(g, [(1, (1,))])[1]
         assert (sorted(members), live) == ([0], b"\x01\x00\x01")

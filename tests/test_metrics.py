@@ -41,7 +41,6 @@ def trace(rows, key="intentional", n=100) -> AttackTrace:
     return AttackTrace(
         total_nodes=n,
         strategy_key=key,
-        removals=[],
         snapshots=list(rows),
         stop_reason="budget_exhausted",
     )
@@ -65,7 +64,7 @@ class TestSnapshot:
     def test_fields(self):
         g = build_graph(4, [(0, 1), (1, 2)])
         cadence = SnapshotCadence(s_every=1, d_every=1)
-        rows, kept, exact, _ = measure(g, [(1, (3,))], cadence, CrashCriterion(), False)
+        rows, kept, exact, _ = measure(g, [3], [1], cadence, CrashCriterion(), False)
         r = rows[-1]
         assert r.step == 1
         assert r.removed_count == 1
@@ -79,9 +78,9 @@ class TestSnapshot:
     def test_diameter_opt_out_and_tiny_cluster(self):
         g = build_graph(2, [(0, 1)])
         no_d = SnapshotCadence(s_every=1, d_every=None)
-        rows, _, _, _ = measure(g, [(1, (1,))], no_d, CrashCriterion(), False)
+        rows, _, _, _ = measure(g, [1], [1], no_d, CrashCriterion(), False)
         assert [r.cluster_diameter for r in rows] == [None, None]
-        rows, _, _, _ = measure(g, [(1, (1,))], SnapshotCadence(1, 1), CrashCriterion(), False)
+        rows, _, _, _ = measure(g, [1], [1], SnapshotCadence(1, 1), CrashCriterion(), False)
         assert rows[0].cluster_diameter == 1.0
         assert rows[1].cluster_diameter is None
         g.crash_node(1)
@@ -97,7 +96,7 @@ class TestSnapshot:
             a, b, c = triangle
             p, q, r = path
             g = build_graph(7, [(a, b), (b, c), (a, c), (p, q), (q, r), (c, 6), (6, r)])
-            rows, _, _, _ = measure(g, [(1, (6,))], cadence, CrashCriterion(), False)
+            rows, _, _, _ = measure(g, [6], [1], cadence, CrashCriterion(), False)
             assert rows[1].giant_fraction == 3 / 7
             assert rows[1].cluster_diameter == want
             g.crash_node(6)
@@ -126,6 +125,37 @@ def graphs_and_orders(draw):
     return n, edges, batched(list(order), cuts)
 
 
+@st.composite
+def records_and_steps(draw):
+    """(n, shape, edges, removals, cluster steps) for a reverse pass.
+
+    The graph is random and sparse, split into two halves with no edge
+    between them, or edgeless. The order is any prefix of a permutation,
+    the empty one and every node included, one id a step or in batches.
+    The cluster steps always hold 0, a middle step and the last step.
+    """
+    n = draw(st.integers(1, 14))
+    shape = draw(st.sampled_from(("sparse", "split", "edgeless")))
+    half = n // 2
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if shape == "sparse" or (u < half) == (v < half)
+    ]
+    edges = []
+    if shape != "edgeless" and pairs:
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    order = list(draw(st.permutations(range(n))))[: draw(st.sampled_from((0, n, n // 2, n - 1)))]
+    if draw(st.booleans()):
+        removals = [(i, (v,)) for i, v in enumerate(order, 1)]
+    else:
+        removals = batched(order, draw(st.lists(st.integers(0, n), max_size=n)))
+    last = len(removals)
+    steps = {0, last // 2, last} | draw(st.sets(st.integers(0, last)))
+    return n, shape, edges, removals, sorted(steps)
+
+
 class TestGiantSizes:
     @settings(max_examples=300, deadline=None)
     @given(graphs_and_orders())
@@ -133,9 +163,10 @@ class TestGiantSizes:
         n, edges, removals = case
         g = build_graph(n, edges)
         steps = range(len(removals) + 1)
-        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
+        record = oracles.flat(removals)
+        sizes, clusters = giant_sizes(g.adjacency, *record, steps, oracles.read_off)
         assert len(sizes) == len(removals) + 1
-        assert giant_sizes(g.adjacency, removals, (), oracles.read_off) == (sizes, {})
+        assert giant_sizes(g.adjacency, *record, (), oracles.read_off) == (sizes, {})
         alive = [True] * n
         for i, (_, batch) in enumerate([(0, ())] + removals):
             for v in batch:
@@ -162,7 +193,7 @@ class TestGiantSizes:
         order = list(dict.fromkeys([ends[0]] + middle + [ends[1]]))
         removals = [(i, (v,)) for i, v in enumerate(order, 1)]
         steps = range(len(removals) + 1)
-        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
+        sizes, clusters = giant_sizes(g.adjacency, *oracles.flat(removals), steps, oracles.read_off)
         alive = [True] * n
         for step, batch in [(0, ())] + removals:
             for v in batch:
@@ -176,7 +207,42 @@ class TestGiantSizes:
     def test_rejects_a_node_removed_twice(self):
         g = build_graph(3, [(0, 1)])
         with pytest.raises(ValueError, match="node 1 is removed twice"):
-            giant_sizes(g.adjacency, [(1, (1,)), (2, (2, 1))], (), oracles.read_off)
+            giant_sizes(g.adjacency, [1, 2, 1], [1, 3], (), oracles.read_off)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_rejects_an_id_outside_the_graph(self, v):
+        # a negative id must not index from the end: -1 is not node 3
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=rf"^node id {v} outside \[0, 4\)$"):
+            giant_sizes(g.adjacency, [v], [1], (), None)
+        with pytest.raises(ValueError, match=rf"^node id {v} outside \[0, 4\)$"):
+            giant_sizes(g.adjacency, [0, v, 2], [1, 3], (), None)
+
+    @pytest.mark.parametrize("ends", [[], [1], [3], [2, 1, 2], [-1, 2]])
+    def test_rejects_ends_that_do_not_rise_to_the_order(self, ends):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="ends must rise from 0 to the 2 ids"):
+            giant_sizes(g.adjacency, [1, 2], ends, (), None)
+
+    def test_steps_that_remove_nothing_repeat_the_size(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        steps = range(5)
+        sizes, clusters = giant_sizes(g.adjacency, [1, 3], [0, 1, 1, 2], steps, oracles.read_off)
+        assert sizes == [4, 4, 2, 2, 1]
+        assert [clusters[k][0] for k in steps] == [[0, 1, 2, 3]] * 2 + [[2, 3]] * 2 + [[0]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(records_and_steps())
+    @example((3, "sparse", [(0, 1), (1, 2)], [], [0]))  # the empty order
+    @example((3, "edgeless", [], [(1, (2, 0, 1))], [0, 1]))  # one batch, every node
+    def test_matches_the_batch_pass_oracle(self, case):
+        """Sizes, and the cluster read off at each requested step, equal
+        the batch-by-batch pass's."""
+        n, _, edges, removals, steps = case
+        g = build_graph(n, edges)
+        got = giant_sizes(g.adjacency, *oracles.flat(removals), steps, oracles.read_off)
+        want = oracles.batch_giant_sizes(g.adjacency, removals, steps, oracles.read_off)
+        assert got == want
 
     @pytest.mark.parametrize("kind", ["intentional", "random_failure"])
     def test_read_off_at_depth_matches_oracle(self, kind):
@@ -185,10 +251,11 @@ class TestGiantSizes:
         # does not, and its last step leaves no live node
         g = generate_ba(BaParams(2000, 2, seed=21))
         spec = StrategySpec(kind, seed=3)
-        removals = run_attack(g, spec, cadence=SnapshotCadence(d_every=None)).removals
+        trace = run_attack(g, spec, cadence=SnapshotCadence(d_every=None))
+        removals = trace.removals
         assert len(removals) == 2000
         steps = range(0, 2001, 100)
-        sizes, clusters = giant_sizes(g.adjacency, removals, steps, oracles.read_off)
+        sizes, clusters = giant_sizes(g.adjacency, trace.order, trace.ends, steps, oracles.read_off)
         assert sorted(clusters) == list(steps)
         alive = [True] * 2000
         for step, batch in [(0, ())] + removals:
@@ -217,8 +284,8 @@ class TestMeasureD:
         assume(n > 0)
         g = build_graph(n, edges)
         args = (SnapshotCadence(s_every, d_every), CrashCriterion(eps), early_stop)
-        rows, _, _, _ = measure(g, removals, *args)
-        assert measure(g, removals, *args, intact_d=snapshot(g))[0] == rows
+        rows, _, _, _ = measure(g, *oracles.flat(removals), *args)
+        assert measure(g, *oracles.flat(removals), *args, intact_d=snapshot(g))[0] == rows
         by_step = {row.step: row for row in rows}
         final = rows[-1].step
         alive = [True] * n
@@ -258,7 +325,9 @@ class TestMeasureD:
         assume(n > 0)
         g = build_graph(n, edges)
         cadence = SnapshotCadence(s_every, d_every)
-        rows, kept, exact, _ = measure(g, removals, cadence, CrashCriterion(eps), early_stop)
+        rows, kept, exact, _ = measure(
+            g, *oracles.flat(removals), cadence, CrashCriterion(eps), early_stop
+        )
         marks = [s_every] + ([d_every] if d_every else [])
         alive = [True] * n
         replay = []  # (step, removed count, S, is a cadence row)
@@ -286,7 +355,7 @@ class TestMeasureD:
         g = build_graph(10, [(i, i + 1) for i in range(9)])
         removals = [(i + 1, (i,)) for i in range(5)]
         cadence = SnapshotCadence(s_every=5, d_every=3)
-        rows, _, _, _ = measure(g, removals, cadence, CrashCriterion(), False)
+        rows, _, _, _ = measure(g, *oracles.flat(removals), cadence, CrashCriterion(), False)
         assert [row.step for row in rows] == [0, 3, 5]
         alive = [v >= 5 for v in range(10)]
         want = oracles.floyd_warshall_mean(g.adjacency, alive, range(5, 10))
@@ -311,14 +380,14 @@ class TestExactCrashThreshold:
             if want is None and s <= 0.25:
                 want = removed / 20
         cadence = SnapshotCadence(s_every=6, d_every=None)
-        rows, _, exact, _ = measure(g, removals, cadence, criterion, False)
+        rows, _, exact, _ = measure(g, *oracles.flat(removals), cadence, criterion, False)
         assert exact == want
         # the interpolated threshold reads only the rows, the exact one every step
         assert want not in [r.fraction_removed for r in rows]
-        _, _, never, _ = measure(g, removals[:2], cadence, criterion, False)
+        _, _, never, _ = measure(g, *oracles.flat(removals[:2]), cadence, criterion, False)
         assert never is None
         apart = build_graph(20, [])
-        _, _, at_once, _ = measure(apart, removals, cadence, criterion, False)
+        _, _, at_once, _ = measure(apart, *oracles.flat(removals), cadence, criterion, False)
         assert at_once == 0.0
 
 
