@@ -19,9 +19,13 @@ The three local-information strategies start from an initial target
 (random live node by default) because they only learn the network by
 walking it.
 
-The removal loops run on plain lists of their own and never mutate the
-graph. The intentional attack scans degree levels from the top down;
-coordinated keeps its frontier on a lazy max-heap of int keys.
+Each kind runs a removal loop of its own, on plain lists that hold only
+what its selector reads, and never mutates the graph. The intentional
+attack scans degree levels from the top down. Random failure keeps the
+live ids alone; the greedy walker adds live flags and degrees for its
+walk; coordinated keeps flags, degrees and its frontier on a lazy
+max-heap of int keys, and no live ids; the lower-bounded avalanche
+keeps live flags only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush, heapreplace
 from itertools import chain, islice, pairwise
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph
 from .metrics import CrashCriterion, MetricsRow, SnapshotCadence, measure
@@ -221,7 +225,11 @@ def select_greedy_sequential(
 
 
 def select_coordinated(
-    alive: list[bool], heap: list[int], degree: list[int], live: list[int], rng: random.Random
+    alive: list[bool],
+    heap: list[int],
+    degree: list[int],
+    live_ids: Callable[[], list[int]],
+    rng: random.Random,
 ) -> int | None:
     """Best live node on the crashed set's boundary, else a random restart.
 
@@ -232,7 +240,10 @@ def select_coordinated(
     decodes as ``v = key % n``. Live degrees only fall, so a key bounds
     its node's degree from above: a crashed top is dropped, a stale one
     re-keyed in place, and an exact one is the pick, left on the heap.
-    The restart is :func:`select_random_failure`'s draw over ``live``.
+    The restart is :func:`select_random_failure`'s draw over
+    ``live_ids()``, asked for only then, so the loop need keep no live
+    ids in step (:func:`_replay_live`). On a connected graph it never
+    restarts.
     """
     n = len(alive)
     while heap:
@@ -245,7 +256,7 @@ def select_coordinated(
             if key == exact:
                 return v
             heapreplace(heap, exact)
-    return select_random_failure(live, rng)
+    return select_random_failure(live_ids(), rng)
 
 
 def step_lower_bounded(
@@ -348,68 +359,138 @@ def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> tuple[list[int], 
     """Crash batch by batch until ``stop`` nodes are down or the attack stalls.
 
     Returns the removal record, ``order`` and ``ends`` as
-    :class:`AttackTrace` keeps them. The loop keeps its crash state in
-    plain lists and leaves ``g`` as it is. The intentional kind runs its
-    own loop, :func:`_intentional_order`. The first target is
+    :class:`AttackTrace` keeps them. Each kind runs its own loop on plain
+    lists that hold only what its selector reads, and leaves ``g`` as it
+    is. The first target of every kind but the intentional one is
     :func:`_resolve_initial`'s; each later pick is one call of the
     kind's selector, looked up as a module global so that a wrapper put
     there sees every call. Only the lower-bounded avalanche can come up
-    empty, which stalls it. The kinds that draw at random keep the live
-    ids in ``live``, with each one's slot in ``pos`` for an O(1)
-    swap-remove.
+    empty, which stalls it.
     """
-    n = g.node_count
-    adjacency = g.adjacency
-    kind = spec.kind
     rng = random.Random(spec.seed)
     protected = build_protected_set(g, spec.protected, rng)
-    if kind == "intentional":
+    if spec.kind == "intentional":
         order = _intentional_order(g, protected, stop)
         return order, list(range(1, len(order) + 1))
+    first = _resolve_initial(g, spec, rng)
+    if spec.kind == "lower_bounded_parallel":
+        return _lower_bounded_order(g.adjacency, first, spec.threshold, stop)
+    loop = {"random_failure": _random_order, "greedy_sequential": _greedy_order}
+    order = loop.get(spec.kind, _coordinated_order)(g.adjacency, first, rng, stop)
+    return order, list(range(1, len(order) + 1))
 
+
+def _swap_remove(live: list[int], pos: list[int], v: int) -> None:
+    """Take ``v`` out of ``live`` in O(1): the last id fills its slot."""
+    last = live.pop()
+    if last != v:
+        live[pos[v]] = last
+        pos[last] = pos[v]
+
+
+def _replay_live(n: int, order: list[int]) -> Callable[[], list[int]]:
+    """The live ids, slot for slot as a list swap-removed in step with ``order`` holds them.
+
+    Built on the first call; each call swap-removes only the ids that
+    ``order`` gained since the last, so all calls cost one pass.
+    """
+    live: list[int] = []
+    pos: list[int] = []
+    done = 0
+
+    def live_ids() -> list[int]:
+        nonlocal done
+        if not pos:
+            live.extend(range(n))
+            pos.extend(range(n))
+        for v in order[done:]:
+            _swap_remove(live, pos, v)
+        done = len(order)
+        return live
+
+    return live_ids
+
+
+def _random_order(
+    adjacency: list[list[int]], first: int, rng: random.Random, stop: int
+) -> list[int]:
+    """random_failure's removals, from the live ids alone: no adjacency is read."""
+    live = list(range(len(adjacency)))
+    pos = list(live)
+    order = [first]
+    while True:
+        _swap_remove(live, pos, order[-1])
+        if len(order) == stop:
+            return order
+        order.append(select_random_failure(live, rng))
+
+
+def _greedy_order(
+    adjacency: list[list[int]], first: int, rng: random.Random, stop: int
+) -> list[int]:
+    """greedy_sequential's removals, from live flags and degrees, and live ids to jump to."""
+    n = len(adjacency)
+    alive = [True] * n
+    degree = list(map(len, adjacency))  # read for live nodes only
+    live = list(range(n))
+    pos = list(live)
+    order = [first]
+    while True:
+        v = order[-1]
+        alive[v] = False
+        for u in adjacency[v]:
+            degree[u] -= 1
+        _swap_remove(live, pos, v)
+        if len(order) == stop:
+            return order
+        order.append(select_greedy_sequential(alive, adjacency[v], degree, live, rng))
+
+
+def _coordinated_order(
+    adjacency: list[list[int]], first: int, rng: random.Random, stop: int
+) -> list[int]:
+    """coordinated's removals, from live flags and degrees and a lazy max-heap of
+    keys ``v - degree * n``, which gains a node once, when it first joins the
+    frontier. A restart replays the live ids from the order."""
+    n = len(adjacency)
     alive = [True] * n
     degree = list(map(len, adjacency))
-    live = None if kind == "lower_bounded_parallel" else list(range(n))
-    pos = list(range(n)) if live else None
-    # coordinated's lazy max-heap, keyed v - degree * n: it starts empty and
-    # pushes a node once, when it first joins the frontier
     heap: list[int] = []
-    queued = bytearray(n) if kind == "coordinated" else None
-    order = [_resolve_initial(g, spec, rng)]
-    ends: list[int] = []
-    lo = 0  # where the step's batch starts in order
-    while lo < len(order):
-        batch = order[lo:]
-        for v in batch:
-            alive[v] = False
-            degree[v] = 0
-            for u in adjacency[v]:
-                if alive[u]:
-                    degree[u] -= 1
-            if live is not None:
-                last = live.pop()
-                if last != v:
-                    live[pos[v]] = last
-                    pos[last] = pos[v]
-        ends.append(len(order))
+    queued = bytearray(n)
+    order = [first]
+    live_ids = _replay_live(n, order)
+    while True:
+        v = order[-1]
+        alive[v] = False
         if heap:  # a non-empty heap supplied the pick, as its top
             heappop(heap)
-        if queued is not None:
-            for u in adjacency[batch[0]]:
-                if alive[u] and not queued[u]:
+        for u in adjacency[v]:
+            if alive[u]:
+                degree[u] -= 1
+                if not queued[u]:
                     queued[u] = 1
                     heappush(heap, u - degree[u] * n)
+        if len(order) == stop:
+            return order
+        order.append(select_coordinated(alive, heap, degree, live_ids, rng))
+
+
+def _lower_bounded_order(
+    adjacency: list[list[int]], first: int, threshold: int, stop: int
+) -> tuple[list[int], list[int]]:
+    """lower_bounded_parallel's removal record, from live flags alone."""
+    alive = [True] * len(adjacency)
+    order: list[int] = []
+    ends: list[int] = []
+    batch = [first]
+    while batch:
+        for v in batch:
+            alive[v] = False
+        order += batch
+        ends.append(len(order))
         if len(order) >= stop:
             break
-        lo = len(order)
-        if kind == "lower_bounded_parallel":
-            order += step_lower_bounded(alive, batch, adjacency, spec.threshold)
-        elif kind == "random_failure":
-            order.append(select_random_failure(live, rng))
-        elif kind == "greedy_sequential":
-            order.append(select_greedy_sequential(alive, adjacency[batch[-1]], degree, live, rng))
-        else:
-            order.append(select_coordinated(alive, heap, degree, live, rng))
+        batch = step_lower_bounded(alive, batch, adjacency, threshold)
     return order, ends
 
 

@@ -72,14 +72,23 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+def _out_file(path: str) -> Path:
+    """An ``--out`` file path, checked before any work: its directory must exist."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: no such directory: {out.parent}")
+    return out
+
+
 def _cmd_generate(args) -> int:
     try:
         params = BaParams(n=args.n, m=args.m, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    out = _out_file(args.out)
     g = generate_ba(params)
     comments = [f"ba n={args.n} m={args.m} seed={args.seed}", f"edges={g.edge_count}"]
-    write_edge_list(g, args.out, comments=comments)
+    write_edge_list(g, out, comments=comments)
     print(f"wrote {args.out}: {g.node_count} nodes, {g.edge_count} edges")
     return 0
 
@@ -87,14 +96,14 @@ def _cmd_generate(args) -> int:
 def _cmd_attack(args) -> int:
     config = _load_config(args)
     spec = config.strategies[0]
-    trace = attack_trial(config, trial_graph(config, 0), spec, 0)
     if args.out is not None:
-        out = Path(args.out)
+        out = _out_file(args.out)
+    elif config.output_dir is None:
+        raise ConfigError("no trace output path (config output_dir or --out)")
     else:
-        if config.output_dir is None:
-            raise ConfigError("no trace output path (config output_dir or --out)")
         out = Path(config.output_dir) / f"trace_{spec.label}.csv"
-        out.parent.mkdir(parents=True, exist_ok=True)
+    trace = attack_trial(config, trial_graph(config, 0), spec, 0)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out, trace)
     final = trace.final
     print(
@@ -121,6 +130,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from .svgplot import write_chart
 
+    out = _out_file(args.out)
     col = f"{args.column}_mean"
     curves = []
     for path in args.curves:
@@ -131,9 +141,9 @@ def _cmd_report(args) -> int:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{path}: not a curve CSV ({exc!r})") from None
         curves.append((Path(path).name.removesuffix(".curve.csv").removesuffix(".csv"), points))
-    if not write_chart(args.out, curves, args.column):
+    if not write_chart(out, curves, args.column):
         raise ConfigError(f"no {args.column} data found in the given curve files")
-    print(f"wrote {args.out}")
+    print(f"wrote {out}")
     return 0
 
 

@@ -174,8 +174,8 @@ def _read_network(data, base_dir: Path | None) -> tuple:
 def materialize_graph(network: tuple, graph_seed: int) -> Graph:
     """Build the trial's graph; edge-list sources ignore the seed.
 
-    A missing or malformed edge list, or one with no edges, is a
-    ConfigError.
+    A missing or malformed edge list, or one with no edges (self-loops
+    alone included), is a ConfigError.
     """
     if network[0] == "ba":
         return generate_ba(BaParams(n=network[1], m=network[2], seed=graph_seed))
@@ -186,7 +186,7 @@ def materialize_graph(network: tuple, graph_seed: int) -> Graph:
         g, _ = load_edge_list(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if g.node_count == 0:
+    if g.edge_count == 0:
         raise ConfigError(f"edge list has no edges: {path}")
     return g
 

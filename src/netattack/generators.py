@@ -5,11 +5,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count
 from pathlib import Path
 from typing import Iterable
 
-from .graph import Graph, build_graph
+from .graph import Graph, finish_graph
 
 
 @dataclass(frozen=True)
@@ -86,27 +85,39 @@ def load_edge_list(path: str | Path) -> tuple[Graph, list[str]]:
     gives the original label for each id. Lines whose first token starts
     with '#' and blank lines are skipped. A malformed line raises
     ValueError naming the 1-based line number. The file is read in
-    blocks of about 64 KiB, and only a block holding a malformed line is
-    checked line by line.
+    blocks of about 16 KiB, and only a block holding a malformed line is
+    checked line by line. Each edge goes straight into its two adjacency
+    rows, self-loops counted and skipped, and :func:`graph.finish_graph`
+    drops the duplicates once the file is read, so loading holds about
+    the graph and one block, never a copy per edge.
     """
     path = Path(path)
     index: dict[str, int] = {}
-    ids: list[int] = []
+    get = index.get
+    adjacency: list[list[int]] = []
+    self_loops = 0
     lineno = 0
     with path.open("r", encoding="utf-8") as fh:
-        while block := fh.readlines(1 << 16):
+        while block := fh.readlines(1 << 14):
             rows = [parts for parts in map(str.split, block) if parts and parts[0][0] != "#"]
             if not set(map(len, rows)) <= {2}:
                 for at, parts in enumerate(map(str.split, block), start=lineno + 1):
                     if parts and parts[0][0] != "#" and len(parts) != 2:
                         raise ValueError(f"{path}:{at}: expected two labels, got {len(parts)}")
-            tokens = list(chain.from_iterable(rows))
-            fresh = [tok for tok in dict.fromkeys(tokens) if tok not in index]
-            index.update(zip(fresh, count(len(index))))
-            ids += map(index.__getitem__, tokens)
+            for a, b in rows:
+                if (u := get(a)) is None:
+                    u = index[a] = len(adjacency)
+                    adjacency.append([])
+                if (v := get(b)) is None:
+                    v = index[b] = len(adjacency)
+                    adjacency.append([])
+                if u == v:
+                    self_loops += 1
+                else:
+                    adjacency[u].append(v)
+                    adjacency[v].append(u)
             lineno += len(block)
-    ends = iter(ids)
-    return build_graph(len(index), zip(ends, ends)), list(index)
+    return finish_graph(adjacency, self_loops), list(index)
 
 
 def write_edge_list(

@@ -142,31 +142,41 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     if n < 0:
         raise ValueError(f"node count must be >= 0, got {n}")
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    # one code per undirected pair seen, so rows take no duplicate
-    pairs: set[int] = set()
-    duplicates = 0
     self_loops = 0
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
         if u == v:
             self_loops += 1
-            continue
-        code = u * n + v if u < v else v * n + u
-        if code in pairs:
-            duplicates += 1
-            continue
-        pairs.add(code)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+        else:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    return finish_graph(adjacency, self_loops)
+
+
+def finish_graph(adjacency: list[list[int]], self_loops: int) -> Graph:
+    """Graph from rows that list each kept edge once per endpoint, repeats included.
+
+    Sorts every row in place and drops its repeats. A duplicate edge
+    leaves one extra entry in each of its two rows, so half the entries
+    dropped is the duplicate count. Duplicates and the ``self_loops``
+    the caller skipped are logged as one warning.
+    """
+    duplicates = 0
+    for v, row in enumerate(adjacency):
+        kept = set(row)
+        if len(kept) == len(row):
+            row.sort()
+        else:
+            duplicates += len(row) - len(kept)
+            adjacency[v] = sorted(kept)
+    duplicates //= 2
     if duplicates or self_loops:
         import logging
 
         logging.getLogger(__name__).warning(
             "dropped %d duplicate edge(s) and %d self-loop(s)", duplicates, self_loops
         )
-    for row in adjacency:
-        row.sort()
     return Graph(
         adjacency,
         dropped_duplicates=duplicates,

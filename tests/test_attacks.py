@@ -33,6 +33,7 @@ from netattack.attacks import (
     STOP_NETWORK_CRASHED,
     STOP_STRATEGY_STALLED,
     _intentional_order,
+    _replay_live,
     select_coordinated,
     select_greedy_sequential,
     select_intentional,
@@ -418,7 +419,7 @@ class TestSelectors:
         heapq.heapify(heap)
         popped = []
         # no live ids to restart from, so an empty frontier ends on None
-        while (v := select_coordinated(alive, heap, degree, [], random.Random(0))) is not None:
+        while (v := select_coordinated(alive, heap, degree, lambda: [], random.Random(0))) is not None:
             popped.append(v)
             heapq.heappop(heap)
             alive[v] = False
@@ -443,14 +444,26 @@ class TestSelectors:
         g = build_graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
         g.crash_node(0)
         heap = degree_heap(g, (1, 2))  # the frontier once 0 has crashed
-        assert pick(select_coordinated, g, heap, live_ids(g), random.Random(0)) == 2
+        assert pick(select_coordinated, g, heap, lambda: live_ids(g), random.Random(0)) == 2
         g.crash_node(2)
         for u in (3, 4):
             heapq.heappush(heap, heap_key(g, u))
         # 1, 3 and 4 all have degree 0 now: the smallest id wins
-        assert pick(select_coordinated, g, heap, live_ids(g), random.Random(0)) == 1
-        restart = pick(select_coordinated, g, [], live_ids(g), random.Random(0))
+        assert pick(select_coordinated, g, heap, lambda: live_ids(g), random.Random(0)) == 1
+        restart = pick(select_coordinated, g, [], lambda: live_ids(g), random.Random(0))
         assert restart in range(g.node_count) and g.alive[restart]
+
+    def test_replayed_live_ids_match_swap_removes(self):
+        """The restart's live ids are those a list kept in step with every
+        removal would hold, slot for slot, however often they are asked."""
+        order = [0]
+        live_ids = _replay_live(6, order)
+        assert live_ids() == [5, 1, 2, 3, 4]  # 5 fills 0's slot
+        order += [1, 2]
+        assert live_ids() == [5, 4, 3]  # then 4 fills 1's, 3 fills 2's
+        assert live_ids() == [5, 4, 3]
+        order += [5, 4, 3]
+        assert live_ids() == []
 
     def test_lower_bounded_uses_construction_degrees(self):
         g = star_plus_tail(spokes=5, tail=1)
@@ -793,6 +806,9 @@ class TestRunAttack:
     @example((5, [(0, 1)], "lower_bounded_parallel", 0, 2, 0, 1.0))  # isolated start stalls
     @example((10, [(0, 1), (2, 3)], "random_failure", None, "random_live", 3, 0.1 * 3))  # 4 of 10
     @example((10, [(0, 1), (2, 3)], "coordinated", None, "max_degree", 3, 3 / 10))  # 3 of 10
+    # two triangles: coordinated restarts once the frontier of the first
+    # dies, drawing over the live ids the replayed swap-removes leave
+    @example((6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "coordinated", None, 0, 1, 1.0))
     def test_shared_loop_kinds_match_oracle(self, case):
         """The random and local kinds' removals and stop reason equal one
         shared loop's, jumps, restarts, stalls and rounding included."""

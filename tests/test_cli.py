@@ -186,6 +186,30 @@ class TestErrorPaths:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_out_into_missing_directory_names_flag_and_directory(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(tmp_path / "out"),
+        )
+        curve = tmp_path / "a.curve.csv"
+        curve.write_text("f,S_mean\n0.0,1.0\n")
+        missing = tmp_path / "gone"
+        for argv in (
+            ["generate", "--n", "30", "--m", "2", "--out", str(missing / "net.txt")],
+            ["attack", "--config", cfg, "--out", str(missing / "t.csv")],
+            ["report", str(curve), "--out", str(missing / "c.svg")],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --out {missing}")
+            assert err.rstrip().endswith(f"no such directory: {missing}")
+        assert not missing.exists()
+        # sweep makes the directories it writes into
+        assert main(["sweep", "--config", cfg, "--out", str(missing / "deep")]) == 0
+        assert (missing / "deep" / "thresholds.csv").is_file()
+
     def test_bad_thread_count_exit_1(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -287,8 +311,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("a b\nb c d\n", "net.txt:2: expected two labels"), ("# nothing\n", "no edges")],
-        ids=["malformed-line", "empty-graph"],
+        [
+            ("a b\nb c d\n", "net.txt:2: expected two labels"),
+            ("# nothing\n", "no edges"),
+            ("a a\n", "edge list has no edges"),
+        ],
+        ids=["malformed-line", "empty-graph", "self-loops-only"],
     )
     def test_bad_edge_list_exit_1(self, tmp_path, capsys, text, message):
         (tmp_path / "net.txt").write_text(text)

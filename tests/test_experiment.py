@@ -235,6 +235,11 @@ class TestMaterializeGraph:
         empty.write_text("# no edges\n\n")
         with pytest.raises(ConfigError, match="edge list has no edges"):
             materialize_graph(("edge_list", str(empty)), graph_seed=0)
+        # self-loops name nodes but leave no edge once dropped
+        loops = tmp_path / "loops.txt"
+        loops.write_text("a a\nb b\n")
+        with pytest.raises(ConfigError, match="edge list has no edges: .*loops.txt"):
+            materialize_graph(("edge_list", str(loops)), graph_seed=0)
 
     def test_initial_target_must_be_a_node(self):
         cfg = small_config(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,25 @@ class TestEdgeListIo:
         with pytest.raises(ValueError, match=r"net.txt:2: expected two labels"):
             load_edge_list(path)
 
+    def test_load_holds_about_the_graph(self, tmp_path):
+        """Loading 10k nodes peaks at no more than twice what the graph and
+        labels keep: no copy per edge lives beside the rows."""
+        path = tmp_path / "net.txt"
+        write_edge_list(generate_ba(BaParams(10_000, 2, seed=0)), path)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            g, labels = load_edge_list(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (g.node_count, g.edge_count, len(labels)) == (10_000, 19_997, 10_000)
+        assert peak - before <= 2 * (kept - before)
+
     def test_written_edges_cover_live_subgraph_only(self, tmp_path):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         g.crash_node(3)
@@ -168,7 +188,7 @@ class TestEdgeListIo:
         assert loaded.edge_count == 2
 
 
-# valid edge lines worth more than one 64 KiB read block
+# valid edge lines worth more than one 16 KiB read block
 _PAD = "".join(f"p{i} p{i + 1}\n" for i in range(7000))
 _LABEL = st.text(
     st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace()),
