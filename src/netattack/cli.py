@@ -73,10 +73,21 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _out_file(path: str) -> Path:
-    """An ``--out`` file path, checked before any work: its directory must exist."""
+    """An ``--out`` file path, checked before any work: not a directory, in one that exists."""
     out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path}: is a directory")
     if not out.parent.is_dir():
         raise ConfigError(f"--out {path}: no such directory: {out.parent}")
+    return out
+
+
+def _out_dir(path: str, name: str) -> Path:
+    """A directory from flag or field ``name``, checked before any work but not made."""
+    out = Path(path)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{name} {path}: not a directory: {nearest}")
     return out
 
 
@@ -101,7 +112,7 @@ def _cmd_attack(args) -> int:
     elif config.output_dir is None:
         raise ConfigError("no trace output path (config output_dir or --out)")
     else:
-        out = Path(config.output_dir) / f"trace_{spec.label}.csv"
+        out = _out_dir(config.output_dir, "output_dir") / f"trace_{spec.label}.csv"
     trace = attack_trial(config, trial_graph(config, 0), spec, 0)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out, trace)
@@ -117,8 +128,10 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    manifest = run_experiment(config, threads=args.threads, output_dir=args.out)
     out = args.out if args.out is not None else config.output_dir
+    if out is not None:
+        _out_dir(out, "--out" if args.out is not None else "output_dir")
+    manifest = run_experiment(config, threads=args.threads, output_dir=out)
     for row in manifest["thresholds"]:
         mean = row["mean"]
         shown = "absent" if mean is None else f"{mean:.4f}"

@@ -1,8 +1,8 @@
-"""The exact d kernel: ordered-pair hop totals of whole live clusters.
+"""The exact d kernel: mean hop counts of whole live clusters.
 
-``Graph.avg_shortest_path`` imports this module on the first d row,
-with numpy, so start-up and d-free sweeps compile neither; the kernel's
-tuning constants stay in ``netattack.graph``.
+``Graph.avg_shortest_path`` forwards to this module, which it imports
+on the first d row, with numpy, so start-up and d-free sweeps compile
+neither.
 """
 
 from __future__ import annotations
@@ -11,26 +11,40 @@ from itertools import accumulate, chain
 
 import numpy as np
 
+# BFS sources per chunk, in 64-bit words; its arrays grow linearly with
+# this and the member count
+_CHUNK_WORDS = 4
+# neighbour columns gathered as slices, per BFS level; a hub's
+# neighbours past them take one gather and OR-reduce
+_COLUMNS = 6
+# leaf share of a cluster from which its pendant trees fold; below it
+# the weight planes cost more than the smaller core saves
+_FOLD_SHARE = 0.1
 
-def pair_distance_sum(
-    adjacency, ids, live, chunk_words: int, columns: int, fold_share: float
-) -> int:
-    """Ordered-pair hop total over a whole cluster, by bit-parallel BFS.
 
-    When at least ``fold_share`` of the members are leaves, the pendant
-    trees fold into the 2-core first (:func:`_fold_trees`), so the
-    searches run on the core only, each core node standing for the s
-    members of its tree. A folded node's edge to its parent splits the
-    cluster into its subtree of s members and the k - s others, and
-    every pair across it crosses it once, which adds 2·s·(k − s)
-    (Wiener, J. Am. Chem. Soc. 69, 17, 1947); core nodes q and r add
-    s_q·s_r times their core hop count in each direction.
+def avg_shortest_path(adjacency, members, live) -> float | None:
+    """Mean hop count over the member pairs of one whole live cluster.
+
+    ``members``, a sequence or int array of ids in any order, must be
+    exactly one connected cluster of the nodes that ``live`` flags, and
+    ``live`` must hold one flag per node, or ValueError is raised. None
+    for fewer than two members.
+
+    The ordered-pair hop total comes from bit-parallel BFS. When at
+    least ``_FOLD_SHARE`` of the members are leaves, the pendant trees
+    fold into the 2-core first (:func:`_fold_trees`), so the searches
+    run on the core only, each core node standing for the s members of
+    its tree. A folded node's edge to its parent splits the cluster into
+    its subtree of s members and the k - s others, and every pair across
+    it crosses it once, which adds 2·s·(k − s) (Wiener, J. Am. Chem.
+    Soc. 69, 17, 1947); core nodes q and r add s_q·s_r times their core
+    hop count in each direction.
 
     Multi-source BFS (Then et al., VLDB 2014): each core node is a BFS
-    source with its own bits, 64 to a uint64 word and ``chunk_words``
-    words to a chunk, and one level of all their searches ORs each row's
-    neighbour rows of the frontier into its row of the next. Source r
-    has one bit in plane b for each set bit b of s_r
+    source with its own bits, 64 to a uint64 word and ``_CHUNK_WORDS``
+    words to a chunk, and one level of all their searches ORs each
+    row's neighbour rows of the frontier into its row of the next.
+    Source r has one bit in plane b for each set bit b of s_r
     (:func:`_weight_planes`); plane b fills whole words, which weigh
     2^b, so a level's pair count is the row weights times the words'
     popcounts times the word weights. An unfolded cluster is the one
@@ -40,25 +54,36 @@ def pair_distance_sum(
     (SELL-C-sigma, Kreutzer et al., SIAM J. Sci. Comput. 36(5), 2014):
     the rows are numbered by descending degree, so those with a c-th
     neighbour are a prefix of the numbering, and a level is one
-    contiguous gather per column c < ``columns``, ORed into that prefix.
-    Only the neighbours of the hubs past those columns take a gather and
-    an OR-reduce. ``ids`` are the members in any order and ``live`` the
-    live flags, both as numpy arrays. A repeated member, a live
-    neighbour outside the members, a member with no live neighbour, or a
-    search that misses a member raises ValueError.
+    contiguous gather per column c < ``_COLUMNS``, ORed into that
+    prefix. Only the neighbours of the hubs past those columns take a
+    gather and an OR-reduce.
     """
+    n = len(adjacency)
+    ids = np.asarray(members, dtype=np.intp)
+    live = np.frombuffer(bytes(live), dtype=np.uint8)
+    if len(live) != n:
+        raise ValueError(f"live holds {len(live)} flags for {n} nodes")
+    # first, as numpy indexing would wrap a negative id
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise ValueError(f"node id {ids[outside].min()} outside [0, {n})")
+    crashed = live[ids] == 0
+    if crashed.any():
+        raise ValueError(f"member {ids[crashed].min()} is crashed")
     k = len(ids)
+    if k < 2:
+        return None
     degree, indices = _member_csr(adjacency, ids, live)
     total = 0
     size = np.ones(k, dtype=np.int64)
     core = k
-    if np.count_nonzero(degree == 1) >= fold_share * k:
+    if np.count_nonzero(degree == 1) >= _FOLD_SHARE * k:
         size, kept, left = _fold_trees(indices, degree)
         cut = size[~kept]
         total = 2 * int((cut * (k - cut)).sum())
         core = np.count_nonzero(kept)
         if core == 1:
-            return total
+            return total / (k * (k - 1))
         # the edges between core nodes; a folded node has none left
         indices = indices[np.repeat(kept, degree) & kept[indices]]
         degree = np.where(kept, left, 0)
@@ -74,19 +99,19 @@ def pair_distance_sum(
     if degree[-1] == 0:
         raise ValueError("members are not one whole live cluster")
     sliced = [
-        indices[starts[: np.count_nonzero(degree > c)] + c] for c in range(min(columns, degree[0]))
+        indices[starts[: np.count_nonzero(degree > c)] + c] for c in range(min(_COLUMNS, degree[0]))
     ]
-    hubs = np.count_nonzero(degree > columns)
-    spill = degree[:hubs] - columns
+    hubs = np.count_nonzero(degree > _COLUMNS)
+    spill = degree[:hubs] - _COLUMNS
     spill_starts = np.cumsum(spill) - spill
     tail = indices[
-        np.repeat(starts[:hubs] + columns - spill_starts, spill) + np.arange(spill.sum())
+        np.repeat(starts[:hubs] + _COLUMNS - spill_starts, spill) + np.arange(spill.sum())
     ]
-    source, bit, word_weight, cuts = _weight_planes(weight, chunk_words)
+    source, bit, word_weight, cuts = _weight_planes(weight, _CHUNK_WORDS)
     # an unfolded cluster: every weight is 1
     unit = word_weight[-1] == 1
-    for lo, a, b in zip(range(0, len(word_weight), chunk_words), cuts, cuts[1:]):
-        chunk_weight = word_weight[lo : lo + chunk_words]
+    for lo, a, b in zip(range(0, len(word_weight), _CHUNK_WORDS), cuts, cuts[1:]):
+        chunk_weight = word_weight[lo : lo + _CHUNK_WORDS]
         frontier = np.zeros((core, len(chunk_weight)), dtype=np.uint64)
         chunk_bit = bit[a:b] - np.uint64(64 * lo)
         frontier[source[a:b], chunk_bit >> 6] = np.uint64(1) << (chunk_bit & 63)
@@ -124,7 +149,7 @@ def pair_distance_sum(
                 break
             unseen ^= nxt
             frontier, nxt = nxt, frontier
-    return total
+    return total / (k * (k - 1))
 
 
 def _member_csr(adjacency, ids, live):

@@ -6,24 +6,13 @@ construction time stays immutable, so observables can be read off a
 removal order against it. The attack loop keeps its own crash state as
 plain lists and never mutates a graph. No sweep calls ``crash_node``:
 the tests crash nodes one at a time with it, and the benchmark tracer
-probes it.
+probes it. ``Graph.avg_shortest_path`` forwards to the d kernel in
+``netattack.distance``, which owns its tuning and its input checks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-# the tuning of the distance kernel (netattack.distance), which loads
-# with numpy on the first d row:
-# BFS sources per chunk, in 64-bit words; its arrays grow linearly with
-# this and the member count
-_CHUNK_WORDS = 4
-# neighbour columns gathered as slices, per BFS level; a hub's
-# neighbours past them take one gather and OR-reduce
-_COLUMNS = 6
-# leaf share of a cluster from which its pendant trees fold; below it
-# the weight planes cost more than the smaller core saves
-_FOLD_SHARE = 0.1
 
 
 class Graph:
@@ -105,31 +94,11 @@ class Graph:
     def avg_shortest_path(self, members: Sequence[int], live: Sequence) -> float | None:
         """Mean hop count over the member pairs of one whole live cluster.
 
-        ``members``, a sequence or int array of ids, must be exactly one
-        connected cluster of the nodes that ``live`` flags, and ``live``
-        must hold one flag per node, or ValueError is raised. None for
-        fewer than two members.
+        See :func:`netattack.distance.avg_shortest_path`, which this forwards to.
         """
-        import numpy as np
+        from .distance import avg_shortest_path
 
-        ids = np.asarray(members, dtype=np.intp)
-        live = np.frombuffer(bytes(live), dtype=np.uint8)
-        if len(live) != self.node_count:
-            raise ValueError(f"live holds {len(live)} flags for {self.node_count} nodes")
-        # first, as numpy indexing would wrap a negative id
-        outside = (ids < 0) | (ids >= self.node_count)
-        if outside.any():
-            raise ValueError(f"node id {ids[outside].min()} outside [0, {self.node_count})")
-        crashed = live[ids] == 0
-        if crashed.any():
-            raise ValueError(f"member {ids[crashed].min()} is crashed")
-        k = len(ids)
-        if k < 2:
-            return None
-        from .distance import pair_distance_sum
-
-        total = pair_distance_sum(self.adjacency, ids, live, _CHUNK_WORDS, _COLUMNS, _FOLD_SHARE)
-        return total / (k * (k - 1))
+        return avg_shortest_path(self.adjacency, members, live)
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:

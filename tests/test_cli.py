@@ -210,6 +210,47 @@ class TestErrorPaths:
         assert main(["sweep", "--config", cfg, "--out", str(missing / "deep")]) == 0
         assert (missing / "deep" / "thresholds.csv").is_file()
 
+    def test_out_of_the_wrong_kind_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # a file where a directory goes, or a directory where a file goes
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        a_dir = tmp_path / "dir"
+        a_dir.mkdir()
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(a_file),
+        )
+        curve = tmp_path / "a.curve.csv"
+        curve.write_text("f,S_mean\n0.0,1.0\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        for name in ("generate_ba", "trial_graph", "attack_trial", "run_experiment"):
+            monkeypatch.setattr(f"netattack.cli.{name}", no_work)
+        monkeypatch.setattr("netattack.svgplot.write_chart", no_work)
+        is_dir = f"--out {a_dir}: is a directory"
+        for argv, err in (
+            (["generate", "--n", "30", "--m", "2", "--out", str(a_dir)], is_dir),
+            (["attack", "--config", cfg, "--out", str(a_dir)], is_dir),
+            (["report", str(curve), "--out", str(a_dir)], is_dir),
+            (["attack", "--config", cfg], f"output_dir {a_file}: not a directory: {a_file}"),
+            (["sweep", "--config", cfg], f"output_dir {a_file}: not a directory: {a_file}"),
+            (
+                ["sweep", "--config", cfg, "--out", str(a_file)],
+                f"--out {a_file}: not a directory: {a_file}",
+            ),
+            (
+                ["sweep", "--config", cfg, "--out", str(a_file / "deep")],
+                f"--out {a_file / 'deep'}: not a directory: {a_file}",
+            ),
+        ):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == f"error: {err}\n", argv
+        assert a_file.read_text() == "" and not any(a_dir.iterdir())
+
     def test_bad_thread_count_exit_1(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import netattack
 import oracles
 from netattack import CrashCriterion, Graph, SnapshotCadence, build_graph
-from netattack import graph as graph_mod
+from netattack import distance
 from netattack.experiment import ExperimentConfig, run_trials
 from netattack.metrics import giant_sizes, measure
 
@@ -180,21 +181,25 @@ class TestAvgShortestPath:
     def test_rejects_crashed_and_duplicate_members(self):
         g = path_graph(3)
         g.crash_node(2)
-        with pytest.raises(ValueError, match="member 2 is crashed"):
-            g.avg_shortest_path([1, 2], g.alive)
-        with pytest.raises(ValueError, match="member 2 is crashed"):
-            g.avg_shortest_path([2], g.alive)
-        with pytest.raises(ValueError, match="duplicate"):
-            g.avg_shortest_path([0, 0], g.alive)
-        with pytest.raises(ValueError, match="duplicate"):
-            g.avg_shortest_path([0, 1, 0], g.alive)
+        # through the forwarder and at the kernel entry itself
+        for mean_path in (g.avg_shortest_path, partial(distance.avg_shortest_path, g.adjacency)):
+            with pytest.raises(ValueError, match="member 2 is crashed"):
+                mean_path([1, 2], g.alive)
+            with pytest.raises(ValueError, match="member 2 is crashed"):
+                mean_path([2], g.alive)
+            with pytest.raises(ValueError, match="duplicate"):
+                mean_path([0, 0], g.alive)
+            with pytest.raises(ValueError, match="duplicate"):
+                mean_path([0, 1, 0], g.alive)
 
     def test_rejects_a_live_mask_of_another_length(self):
         g = path_graph(4)
-        for live in ([True] * 3, [True] * 5, b""):
-            for members in ([0, 1, 2], [0], []):
-                with pytest.raises(ValueError, match=rf"live holds {len(live)} flags for 4 nodes"):
-                    g.avg_shortest_path(members, live)
+        for mean_path in (g.avg_shortest_path, partial(distance.avg_shortest_path, g.adjacency)):
+            for live in ([True] * 3, [True] * 5, b""):
+                for members in ([0, 1, 2], [0], []):
+                    match = rf"live holds {len(live)} flags for 4 nodes"
+                    with pytest.raises(ValueError, match=match):
+                        mean_path(members, live)
 
     def test_rejects_ids_outside_the_graph(self):
         g = path_graph(3)
@@ -256,14 +261,15 @@ class TestAvgShortestPath:
 
     @pytest.mark.parametrize(
         "n, chunk_words, min_size",
-        [(90, 4, 65), (160, 4, 129), (160, 1, 129)],
+        [(90, 4, 65), (160, 4, 129), (160, 1, 129), (160, 2, 129), (160, 16, 129)],
     )
     def test_matches_floyd_warshall_across_words_and_chunks(
         self, monkeypatch, n, chunk_words, min_size
     ):
         # 64 sources share a uint64 word; with one word per chunk a
-        # cluster of more than 128 members takes three chunks
-        monkeypatch.setattr(graph_mod, "_CHUNK_WORDS", chunk_words)
+        # cluster of more than 128 members takes three chunks, with two
+        # words a full chunk and a one-word chunk, with sixteen one chunk
+        monkeypatch.setattr(distance, "_CHUNK_WORDS", chunk_words)
         rng = random.Random(n)
         # nodes n and n + 1 form a separate two-node cluster
         edges = oracles.random_connected_edges(rng, n, extra=0.03) + [(n, n + 1)]
@@ -282,7 +288,7 @@ class TestAvgShortestPath:
     def test_hub_tails_match_floyd_warshall(self, monkeypatch, columns):
         # with one or two sliced columns most members of a small graph
         # are hubs, whose further neighbours take the OR-reduce
-        monkeypatch.setattr(graph_mod, "_COLUMNS", columns)
+        monkeypatch.setattr(distance, "_COLUMNS", columns)
         rng = random.Random(columns)
         for trial in range(30):
             n = rng.randrange(3, 30)
@@ -296,9 +302,9 @@ class TestAvgShortestPath:
             for live in (g.alive, bytes(g.alive)):
                 assert g.avg_shortest_path(members, live) == want
 
-    @pytest.mark.parametrize("columns", [1, 2, graph_mod._COLUMNS])
+    @pytest.mark.parametrize("columns", [1, 2, distance._COLUMNS])
     def test_star_centre_past_the_cap(self, monkeypatch, columns):
-        monkeypatch.setattr(graph_mod, "_COLUMNS", columns)
+        monkeypatch.setattr(distance, "_COLUMNS", columns)
         leaves = columns + 4
         # centre 0, leaves 1..leaves, and a tail of two nodes off the last leaf
         star = [(0, v) for v in range(1, leaves + 1)]
@@ -315,7 +321,7 @@ class TestAvgShortestPath:
     def test_chunk_boundary_matches_floyd_warshall(self, k):
         # 256 sources fill a chunk, so these clusters take one chunk, one
         # full chunk, and a full chunk plus a one-source chunk
-        assert 64 * graph_mod._CHUNK_WORDS == 256
+        assert 64 * distance._CHUNK_WORDS == 256
         rng = random.Random(k)
         edges = oracles.random_connected_edges(rng, k, extra=0.004)
         # node k is a crashed neighbour of some members
@@ -368,7 +374,7 @@ class TestFold:
     """Pendant trees fold into the 2-core before the searches run."""
 
     @settings(max_examples=300, deadline=None)
-    @given(pendant_clusters(), st.sampled_from([1, 4]), st.sampled_from([1, 2, 6]))
+    @given(pendant_clusters(), st.sampled_from([1, 2, 4, 16]), st.sampled_from([1, 2, 6]))
     def test_matches_floyd_warshall(self, cluster, chunk_words, columns):
         # trees and stars, cycles with pendant chains, a core of one node
         # and k = 2 and 3; one chunk holds every weight plane, or each
@@ -382,30 +388,31 @@ class TestFold:
         if len(members) >= 2:
             want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_mod, "_FOLD_SHARE", 0.0)
-            mp.setattr(graph_mod, "_CHUNK_WORDS", chunk_words)
-            mp.setattr(graph_mod, "_COLUMNS", columns)
+            mp.setattr(distance, "_FOLD_SHARE", 0.0)
+            mp.setattr(distance, "_CHUNK_WORDS", chunk_words)
+            mp.setattr(distance, "_COLUMNS", columns)
             assert g.avg_shortest_path(members, bytes(g.alive)) == want
 
-    @pytest.mark.parametrize("chunk_words", [1, 4])
+    @pytest.mark.parametrize("chunk_words", [1, 2, 4, 16])
     def test_weight_planes_across_words_and_chunks(self, monkeypatch, chunk_words):
         # a cycle of 80 with a leaf on every eighth node: 70 core nodes of
         # weight 1 fill plane 0 past one word, 10 of weight 2 fill plane 1;
-        # with one word per chunk the three words take three chunks
-        monkeypatch.setattr(graph_mod, "_CHUNK_WORDS", chunk_words)
+        # with one word per chunk the three words take three chunks, with
+        # two the first chunk holds plane 0 and the second plane 1
+        monkeypatch.setattr(distance, "_CHUNK_WORDS", chunk_words)
         rng = random.Random(80)
         edges = [(v, (v + 1) % 80) for v in range(80)]
         edges += [(8 * i, 80 + i) for i in range(10)]
         edges += [(rng.randrange(80), rng.randrange(80)) for _ in range(6)]
         g = build_graph(90, edges)
-        assert sum(len(nbrs) == 1 for nbrs in g.adjacency) / 90 >= graph_mod._FOLD_SHARE
+        assert sum(len(nbrs) == 1 for nbrs in g.adjacency) / 90 >= distance._FOLD_SHARE
         members = range(90)
         want = oracles.floyd_warshall_mean(g.adjacency, g.alive, members)
         assert g.avg_shortest_path(members, g.alive) == want
 
-    @pytest.mark.parametrize("share", [0.0, graph_mod._FOLD_SHARE])
+    @pytest.mark.parametrize("share", [0.0, distance._FOLD_SHARE])
     def test_rejects_what_the_plain_kernel_rejects(self, monkeypatch, share):
-        monkeypatch.setattr(graph_mod, "_FOLD_SHARE", share)
+        monkeypatch.setattr(distance, "_FOLD_SHARE", share)
         # a 4-cycle with a pendant chain of two on node 0, then separate
         # clusters from node 6 on
         core = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]
@@ -452,7 +459,7 @@ class TestFold:
                 assert d is None
                 continue
             leaves = sum(sum(live[u] for u in g.adjacency[v]) == 1 for v in members.tolist())
-            folded += leaves >= graph_mod._FOLD_SHARE * k
+            folded += leaves >= distance._FOLD_SHARE * k
             assert d == oracles.bit_parallel_pair_sum(g.adjacency, members, live) / (k * (k - 1))
         assert len(rows) == 22
         assert folded >= 10
