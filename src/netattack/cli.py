@@ -2,13 +2,13 @@
 
 Subcommands:
   generate  grow a scale-free graph and write it as an edge-list file
-  attack    run the first configured strategy once, write a step trace CSV
+  attack    run trial 0 of the first configured strategy, write a step trace CSV
   sweep     run the full strategy-by-trial grid, write curves/thresholds
   report    replot curve CSVs into an SVG chart
 
-Exit codes: 0 success, 1 configuration error (a ConfigError or a
-missing file), 2 runtime error (anything else, engine invariant
-failures included).
+Exit codes: 0 success, 1 configuration error (a ConfigError, or a file
+that is missing or a directory), 2 runtime error (anything else, engine
+invariant failures included).
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .experiment import (
-    ConfigError, ExperimentConfig, attack_trial, run_experiment, trial_graph, write_trace_csv
-)
+from .experiment import ConfigError, ExperimentConfig, run_experiment, run_trials, write_trace_csv
 from .generators import BaParams, generate_ba, write_edge_list
 from ._version import __version__
 
@@ -113,7 +111,8 @@ def _cmd_attack(args) -> int:
         raise ConfigError("no trace output path (config output_dir or --out)")
     else:
         out = _out_dir(config.output_dir, "output_dir") / f"trace_{spec.label}.csv"
-    trace = attack_trial(config, trial_graph(config, 0), spec, 0)
+    # trial 0 of a one-strategy sweep: its graph and attack seeds are the sweep's
+    [(_, [trace])] = run_trials(dataclasses.replace(config, strategies=(spec,), trials=1))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out, trace)
     final = trace.final
@@ -173,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort runtime report

@@ -1,9 +1,11 @@
 """Batch experiment runner: config in, CSV tables (and SVG charts) out.
 
-A run is a grid of (strategy x trial). Each trial builds its graph once
-and runs every strategy on it, so trials are embarrassingly parallel;
-results are merged in config order afterwards, which keeps every output
-byte-identical no matter how many worker processes were used.
+A run is a grid of (strategy x trial). A trial, ``_trial_job``, builds
+its graph once and runs every strategy on it, so trials are
+embarrassingly parallel; results are merged in config order afterwards,
+which keeps every output byte-identical no matter how many worker
+processes were used. ``_trial_job`` is the one trial path: the CLI's
+``attack`` is trial 0 of a one-strategy sweep through ``run_trials``.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class ExperimentConfig:
             data = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_json(data, base_dir=path.parent)
 
@@ -174,8 +176,8 @@ def _read_network(data, base_dir: Path | None) -> tuple:
 def materialize_graph(network: tuple, graph_seed: int) -> Graph:
     """Build the trial's graph; edge-list sources ignore the seed.
 
-    A missing or malformed edge list, or one with no edges (self-loops
-    alone included), is a ConfigError.
+    A missing, malformed or non-UTF-8 edge list, or one with no edges
+    (self-loops alone included), is a ConfigError.
     """
     if network[0] == "ba":
         return generate_ba(BaParams(n=network[1], m=network[2], seed=graph_seed))
@@ -184,22 +186,12 @@ def materialize_graph(network: tuple, graph_seed: int) -> Graph:
         raise ConfigError(f"edge list not found: {path}")
     try:
         g, _ = load_edge_list(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if g.edge_count == 0:
         raise ConfigError(f"edge list has no edges: {path}")
-    return g
-
-
-def trial_graph(config: ExperimentConfig, ti: int) -> Graph:
-    """Trial ``ti``'s graph, which must hold every explicit initial_target."""
-    g = materialize_graph(config.network, config.base_seed + ti)
-    for i, spec in enumerate(config.strategies):
-        if isinstance(spec.initial_target, int) and spec.initial_target >= g.node_count:
-            raise ConfigError(
-                f"strategies[{i}].initial_target {spec.initial_target} is not a node"
-                f" of the {g.node_count}-node graph"
-            )
     return g
 
 
@@ -220,40 +212,38 @@ def write_trace_csv(path: str | Path, trace: AttackTrace) -> None:
     write_table(path, head, rows)
 
 
-def attack_trial(
-    config: ExperimentConfig, g: Graph, spec: StrategySpec, ti: int, intact_d: float | None = None
-) -> AttackTrace:
-    """``spec``'s attack in trial ``ti`` on that trial's fresh graph ``g``.
-
-    The config gives the attack seed (``base_seed + spec.seed + ti``),
-    the budget, the cadence, early stop and the crash criterion;
-    ``intact_d`` is passed on to :func:`run_attack`.
-    """
-    return run_attack(
-        g,
-        spec.with_seed(config.base_seed + spec.seed + ti),
-        budget=config.budget,
-        cadence=config.cadence,
-        early_stop=config.early_stop,
-        criterion=CrashCriterion(config.crash_epsilon),
-        intact_d=intact_d,
-    )
-
-
 def _trial_job(config: ExperimentConfig, ti: int) -> tuple[float, list[AttackTrace]]:
     """Trial ``ti``: seconds to build its graph, and its traces in config order.
 
-    Every strategy runs on the one graph, which no attack mutates. The
-    first measures the intact d at its step 0, and the rest take that
-    value as theirs.
+    The graph, seeded ``base_seed + ti``, must hold every explicit
+    initial_target. Every strategy runs on it, since no attack mutates
+    it, with attack seed ``base_seed + spec.seed + ti``. The first
+    measures the intact d at its step 0, and the rest take that value
+    as theirs.
     """
     started = time.perf_counter()
-    g = trial_graph(config, ti)
+    g = materialize_graph(config.network, config.base_seed + ti)
     build_s = time.perf_counter() - started
-    first, *rest = config.strategies
-    traces = [attack_trial(config, g, first, ti)]
-    intact_d = traces[0].snapshots[0].cluster_diameter
-    traces += [attack_trial(config, g, spec, ti, intact_d) for spec in rest]
+    for i, spec in enumerate(config.strategies):
+        if isinstance(spec.initial_target, int) and spec.initial_target >= g.node_count:
+            raise ConfigError(
+                f"strategies[{i}].initial_target {spec.initial_target} is not a node"
+                f" of the {g.node_count}-node graph"
+            )
+    criterion = CrashCriterion(config.crash_epsilon)
+    traces: list[AttackTrace] = []
+    for spec in config.strategies:
+        traces.append(
+            run_attack(
+                g,
+                spec.with_seed(config.base_seed + spec.seed + ti),
+                budget=config.budget,
+                cadence=config.cadence,
+                early_stop=config.early_stop,
+                criterion=criterion,
+                intact_d=traces[0].snapshots[0].cluster_diameter if traces else None,
+            )
+        )
     return build_s, traces
 
 
@@ -283,14 +273,21 @@ def run_experiment(
 ) -> dict:
     """Run the grid and write curve CSVs, thresholds CSV, manifest, plots.
 
-    Returns the manifest dict, which echoes the config as run. On any
-    failure partial outputs are deleted before the exception propagates.
+    Returns the manifest dict, which echoes the config as run. An output
+    name that is a directory is a ConfigError before any trial runs. On
+    any failure partial outputs are deleted before the exception propagates.
     """
     out = Path(output_dir) if output_dir is not None else None
     if out is None:
         if config.output_dir is None:
             raise ConfigError("no output directory (config output_dir or --out)")
         out = Path(config.output_dir)
+    names = [f"{spec.label}.curve.csv" for spec in config.strategies]
+    names += ["thresholds.csv", "manifest.json"]
+    names += ["curves_S.svg", "curves_d.svg"] if config.plots else []
+    for name in names:
+        if (out / name).is_dir():
+            raise ConfigError(f"output {out / name}: is a directory")
     started = time.perf_counter()
     per_trial = run_trials(config, threads=threads)
     criterion = CrashCriterion(config.crash_epsilon)

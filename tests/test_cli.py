@@ -92,6 +92,22 @@ class TestAttack:
         assert main(["attack", "--config", cfg, "--out", str(b), "--seed", "22"]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_checks_only_the_strategy_it_runs(self, tmp_path, capsys):
+        # attack is trial 0 of a sweep of its one strategy, so a bad
+        # initial_target in a later strategy stops only the sweep
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}, {"kind": "coordinated", "initial_target": 50}],
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["attack", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "trace_intentional.csv").is_file()
+        assert main(["sweep", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: strategies[1].initial_target 50 is not a node")
+        assert not (tmp_path / "out" / "thresholds.csv").exists()
+
 
 class TestSweepAndReport:
     @pytest.fixture()
@@ -177,7 +193,61 @@ class TestErrorPaths:
     def test_missing_config_exit_1(self, tmp_path, capsys):
         rc = main(["sweep", "--config", str(tmp_path / "gone.json")])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert f"error: config file not found: {tmp_path / 'gone.json'}" in capsys.readouterr().err
+        # a config that is a directory, or not UTF-8, is no more readable
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"notes": "caf\xe9"}')
+        for path in (tmp_path, latin1):
+            for command in ("sweep", "attack"):
+                assert main([command, "--config", str(path)]) == 1, (command, path)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and str(path) in err, err
+
+    def test_report_input_that_is_a_directory_exit_1(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize(
+        "name, plots",
+        [
+            ("intentional.curve.csv", False),
+            ("thresholds.csv", False),
+            ("manifest.json", False),
+            ("curves_d.svg", True),
+        ],
+    )
+    def test_output_name_that_is_a_directory_fails_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, name, plots
+    ):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(out),
+            plots=plots,
+        )
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the output names were checked")
+
+        with monkeypatch.context() as m:
+            m.setattr("netattack.experiment.run_trials", no_trials)
+            assert main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: output {out / name}: is a directory\n"
+        assert [p.name for p in out.iterdir()] == [name]
+        # a chart name is free to be a directory when no chart is drawn
+        if plots:
+            write_config(
+                tmp_path / "cfg.json",
+                network={"ba": {"n": 50, "m": 2}},
+                strategies=[{"kind": "intentional"}],
+                output_dir=str(out),
+            )
+            assert main(["sweep", "--config", cfg]) == 0
+            assert (out / "thresholds.csv").is_file()
 
     def test_invalid_json_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -228,7 +298,7 @@ class TestErrorPaths:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the output path was checked")
 
-        for name in ("generate_ba", "trial_graph", "attack_trial", "run_experiment"):
+        for name in ("generate_ba", "run_trials", "run_experiment"):
             monkeypatch.setattr(f"netattack.cli.{name}", no_work)
         monkeypatch.setattr("netattack.svgplot.write_chart", no_work)
         is_dir = f"--out {a_dir}: is a directory"
@@ -356,11 +426,13 @@ class TestErrorPaths:
             ("a b\nb c d\n", "net.txt:2: expected two labels"),
             ("# nothing\n", "no edges"),
             ("a a\n", "edge list has no edges"),
+            (b"a b\nb \xff\n", "net.txt: not UTF-8 text"),
         ],
-        ids=["malformed-line", "empty-graph", "self-loops-only"],
+        ids=["malformed-line", "empty-graph", "self-loops-only", "not-utf8"],
     )
     def test_bad_edge_list_exit_1(self, tmp_path, capsys, text, message):
-        (tmp_path / "net.txt").write_text(text)
+        net = tmp_path / "net.txt"
+        net.write_bytes(text if isinstance(text, bytes) else text.encode())
         cfg = write_config(
             tmp_path / "cfg.json",
             network={"edge_list": "net.txt"},
@@ -396,10 +468,16 @@ class TestErrorPaths:
         assert "runtime error: node 3 is removed twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_unexpected_failures_exit_2(self, tmp_path, capsys):
-        rc = main(["report", str(tmp_path), "--out", str(tmp_path / "x.svg")])
+    def test_unexpected_failures_exit_2(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("chart writer failed")
+
+        monkeypatch.setattr("netattack.svgplot.write_chart", broken)
+        curve = tmp_path / "a.curve.csv"
+        curve.write_text("f,S_mean\n0.0,1.0\n")
+        rc = main(["report", str(curve), "--out", str(tmp_path / "x.svg")])
         assert rc == 2
-        assert "runtime error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "runtime error: chart writer failed\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -31,7 +31,6 @@ from netattack import (
     snapshot,
     write_trace_csv,
 )
-from netattack.experiment import trial_graph
 from netattack import experiment as experiment_mod
 from netattack import metrics as metrics_mod
 
@@ -250,9 +249,11 @@ class TestMaterializeGraph:
             ),
         )
         with pytest.raises(ConfigError, match=r"strategies\[1\].initial_target 40 is not"):
-            trial_graph(cfg, 0)
+            run_trials(cfg)
+        # the last node is a target (the graph seeds are test_one_graph_per_trial_stays_fresh's)
         ok = small_config(strategies=(StrategySpec("coordinated", initial_target=149),))
-        assert trial_graph(ok, 1).adjacency == materialize_graph(("ba", 150, 2), 6).adjacency
+        for _, [trace] in run_trials(ok):
+            assert trace.removals[0] == (1, (149,))
 
 
 class TestTraceCsv:
