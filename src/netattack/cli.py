@@ -151,7 +151,8 @@ def _cmd_report(args) -> int:
             try:
                 points = [(float(row["f"]), float(row[col])) for row in rows if row.get(col)]
             except (KeyError, ValueError) as exc:
-                raise ConfigError(f"{path}: not a curve CSV ({exc!r})") from None
+                why = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else repr(exc)
+                raise ConfigError(f"{path}: not a curve CSV ({why})") from None
         curves.append((Path(path).name.removesuffix(".curve.csv").removesuffix(".csv"), points))
     if not write_chart(out, curves, args.column):
         raise ConfigError(f"no {args.column} data found in the given curve files")

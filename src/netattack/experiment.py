@@ -1,11 +1,11 @@
 """Batch experiment runner: config in, CSV tables (and SVG charts) out.
 
-A run is a grid of (strategy x trial). A trial, ``_trial_job``, builds
-its graph once and runs every strategy on it, so trials are
-embarrassingly parallel; results are merged in config order afterwards,
-which keeps every output byte-identical no matter how many worker
-processes were used. ``_trial_job`` is the one trial path: the CLI's
-``attack`` is trial 0 of a one-strategy sweep through ``run_trials``.
+A run is a grid of (strategy x trial). A trial, ``_trial_job``, runs
+every strategy on one graph, so trials are embarrassingly parallel;
+results are merged in config order afterwards, which keeps every
+output byte-identical no matter how many worker processes were used.
+``_trial_job`` is the one trial path: the CLI's ``attack`` is trial 0
+of a one-strategy sweep through ``run_trials``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -176,16 +176,16 @@ def _read_network(data, base_dir: Path | None) -> tuple:
 def materialize_graph(network: tuple, graph_seed: int) -> Graph:
     """Build the trial's graph; edge-list sources ignore the seed.
 
-    A missing, malformed or non-UTF-8 edge list, or one with no edges
-    (self-loops alone included), is a ConfigError.
+    An unreadable, malformed or non-UTF-8 edge list, or one with no
+    edges (self-loops alone included), is a ConfigError.
     """
     if network[0] == "ba":
         return generate_ba(BaParams(n=network[1], m=network[2], seed=graph_seed))
     path = Path(network[1])
-    if not path.is_file():
-        raise ConfigError(f"edge list not found: {path}")
     try:
         g, _ = load_edge_list(path)
+    except OSError as exc:
+        raise ConfigError(f"edge list {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except ValueError as exc:
@@ -203,27 +203,27 @@ def write_trace_csv(path: str | Path, trace: AttackTrace) -> None:
         "step,removed_node_ids,f,S,d",
     ]
     rows = []
-    removed = 0
-    for step, ids in [(0, ())] + trace.removals:
-        removed += len(ids)
+    # step k removed order[lo:hi]; the extra leading 0 gives step 0 nothing
+    for step, (lo, hi) in enumerate(pairwise([0, 0, *trace.ends])):
         snap = by_step.get(step)
         s, d = (None, None) if snap is None else (snap.giant_fraction, snap.cluster_diameter)
-        rows.append((step, ";".join(map(str, ids)), removed / trace.total_nodes, s, d))
+        rows.append((step, ";".join(map(str, trace.order[lo:hi])), hi / trace.total_nodes, s, d))
     write_table(path, head, rows)
 
 
-def _trial_job(config: ExperimentConfig, ti: int) -> tuple[float, list[AttackTrace]]:
+def _trial_job(config: ExperimentConfig, ti: int, loaded) -> tuple[float, list[AttackTrace]]:
     """Trial ``ti``: seconds to build its graph, and its traces in config order.
 
-    The graph, seeded ``base_seed + ti``, must hold every explicit
-    initial_target. Every strategy runs on it, since no attack mutates
-    it, with attack seed ``base_seed + spec.seed + ti``. The first
-    measures the intact d at its step 0, and the rest take that value
-    as theirs.
+    The graph and its seconds are ``loaded``, the pair ``run_trials``
+    read, or else grown and timed here with seed ``base_seed + ti``.
+    The graph must hold every explicit initial_target. Every strategy
+    runs on it, since no attack mutates it, with attack seed
+    ``base_seed + spec.seed + ti``. The first measures the intact d at
+    its step 0, and the rest take that value as theirs.
     """
     started = time.perf_counter()
-    g = materialize_graph(config.network, config.base_seed + ti)
-    build_s = time.perf_counter() - started
+    g = loaded[0] if loaded else materialize_graph(config.network, config.base_seed + ti)
+    build_s = loaded[1] if loaded else time.perf_counter() - started
     for i, spec in enumerate(config.strategies):
         if isinstance(spec.initial_target, int) and spec.initial_target >= g.node_count:
             raise ConfigError(
@@ -250,19 +250,26 @@ def _trial_job(config: ExperimentConfig, ti: int) -> tuple[float, list[AttackTra
 def run_trials(config: ExperimentConfig, threads: int = 1) -> list[tuple[float, list[AttackTrace]]]:
     """One ``(build_s, traces)`` pair per trial, in trial order.
 
-    Workers, no more than the trials or the CPUs this process may use,
-    split the trials; each builds its trial's graph once.
+    A BA graph is grown in each trial. An edge list, the same graph in
+    every trial, is read once, here: trial 0's ``build_s`` is the read's
+    seconds, the others' 0.0. Workers, no more than the trials or the
+    CPUs this process may use, split the trials.
     """
     trials = range(config.trials)
+    loaded = repeat(None)
+    if config.network[0] == "edge_list":
+        started = time.perf_counter()
+        g = materialize_graph(config.network, config.base_seed)
+        loaded = [(g, time.perf_counter() - started)] + [(g, 0.0)] * (config.trials - 1)
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(threads, len(trials), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers <= 1:
-        return [_trial_job(config, ti) for ti in trials]
+        return list(map(_trial_job, repeat(config), trials, loaded))
     # imported here, so a one-worker run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_job, repeat(config), trials))
+        return list(pool.map(_trial_job, repeat(config), trials, loaded))
 
 
 def run_experiment(

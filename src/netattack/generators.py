@@ -84,64 +84,53 @@ def load_edge_list(path: str | Path) -> tuple[Graph, list[str]]:
     tokens mapped to dense ids in first-seen order; the returned list
     gives the original label for each id. Lines whose first token starts
     with '#' and blank lines are skipped. A malformed line raises
-    ValueError naming the 1-based line number. The file is read in
-    blocks of about 16 KiB, and only a block holding a malformed line is
-    checked line by line. Each edge goes straight into its two adjacency
+    ValueError naming the 1-based line number. The file is read line by
+    line in one pass. Each edge goes straight into its two adjacency
     rows, self-loops counted and skipped, and :func:`graph.finish_graph`
     drops the duplicates once the file is read, so loading holds about
-    the graph and one block, never a copy per edge.
+    the graph, never a copy per edge.
     """
     path = Path(path)
     index: dict[str, int] = {}
     get = index.get
     adjacency: list[list[int]] = []
     self_loops = 0
-    lineno = 0
     with path.open("r", encoding="utf-8") as fh:
-        while block := fh.readlines(1 << 14):
-            rows = [parts for parts in map(str.split, block) if parts and parts[0][0] != "#"]
-            if not set(map(len, rows)) <= {2}:
-                for at, parts in enumerate(map(str.split, block), start=lineno + 1):
-                    if parts and parts[0][0] != "#" and len(parts) != 2:
-                        raise ValueError(f"{path}:{at}: expected two labels, got {len(parts)}")
-            for a, b in rows:
-                if (u := get(a)) is None:
-                    u = index[a] = len(adjacency)
-                    adjacency.append([])
-                if (v := get(b)) is None:
-                    v = index[b] = len(adjacency)
-                    adjacency.append([])
-                if u == v:
-                    self_loops += 1
-                else:
-                    adjacency[u].append(v)
-                    adjacency[v].append(u)
-            lineno += len(block)
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two labels, got {len(parts)}")
+            a, b = parts
+            if (u := get(a)) is None:
+                u = index[a] = len(adjacency)
+                adjacency.append([])
+            if (v := get(b)) is None:
+                v = index[b] = len(adjacency)
+                adjacency.append([])
+            if u == v:
+                self_loops += 1
+            else:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
     return finish_graph(adjacency, self_loops), list(index)
 
 
-def write_edge_list(
-    g: Graph, path: str | Path, comments: Iterable[str] = ()
-) -> None:
+def write_edge_list(g: Graph, path: str | Path, comments: Iterable[str] = ()) -> None:
     """Write live edges as "u v" lines with optional '#' header comments.
 
-    Edges are ordered by (max endpoint, min endpoint). When every node
-    beyond the first links to some lower id (true for all grown graphs
-    here), reloading assigns each label its own id back, so a write/load
-    round trip preserves node identity. Isolated nodes are not written.
+    Edges are ordered by (max endpoint, min endpoint), as read off the
+    ascending rows: row by row, each row's lower neighbours. When every
+    node beyond the first links to some lower id (true for all grown
+    graphs here), reloading assigns each label its own id back, so a
+    write/load round trip preserves node identity. Isolated nodes are
+    not written.
     """
-    path = Path(path)
     alive = g.alive
-    lines: list[tuple[int, int]] = []
-    for v in range(g.node_count):
-        if not alive[v]:
-            continue
-        for u in g.adjacency[v]:
-            if u > v and alive[u]:
-                lines.append((u, v))
-    lines.sort()
-    with path.open("w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
-        for hi, lo in lines:
-            fh.write(f"{lo} {hi}\n")
+        for hi, row in enumerate(g.adjacency):
+            if alive[hi]:
+                fh.writelines(f"{lo} {hi}\n" for lo in row if lo < hi and alive[lo])

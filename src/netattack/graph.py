@@ -19,7 +19,8 @@ class Graph:
     """Simple undirected graph supporting irreversible node crashes.
 
     Build instances through :func:`build_graph` or the generators module.
-    ``adjacency`` must not be mutated. ``_levels`` caches
+    ``adjacency`` must not be mutated. Its rows ascend, which the line
+    order of :func:`write_edge_list` relies on. ``_levels`` caches
     :meth:`degree_levels`: None until the graph's first attack asks.
     """
 

@@ -443,14 +443,41 @@ class TestErrorPaths:
             assert main(argv) == 1
             assert message in capsys.readouterr().err
 
+    def test_unreadable_edge_list_exit_1(self, tmp_path, capsys, monkeypatch):
+        """A directory, or a file the read is denied, is the input's fault."""
+        (tmp_path / "netdir").mkdir()
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"edge_list": "netdir"},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: edge list {tmp_path / 'netdir'}: Is a directory\n"
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("netattack.experiment.load_edge_list", denied)
+        assert main(["attack", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: edge list {tmp_path / 'netdir'}: Permission denied\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
-        "text", ["f,S_mean\n0.0,abc\n", "x,S_mean\n0.0,1.0\n"], ids=["value", "column"]
+        "text",
+        [b"f,S_mean\n0.0,abc\n", b"x,S_mean\n0.0,1.0\n", b"f,S_mean\n0.0,1.0\n\xff\n"],
+        ids=["value", "column", "not-utf8"],
     )
     def test_malformed_curve_csv_exit_1(self, tmp_path, capsys, text):
         curve = tmp_path / "bad.curve.csv"
-        curve.write_text(text)
+        curve.write_bytes(text)
         assert main(["report", str(curve), "--out", str(tmp_path / "x.svg")]) == 1
-        assert "bad.curve.csv: not a curve CSV" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad.curve.csv: not a curve CSV" in err
+        # one line, and no raw bytes of the file
+        assert err.count("\n") == 1
+        assert "b'" not in err and "\\x" not in err
 
     def test_engine_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # an engine invariant failure is a runtime error, not a bad config

@@ -24,11 +24,13 @@ from netattack import (
     StrategySpec,
     build_graph,
     generate_ba,
+    load_edge_list,
     materialize_graph,
     run_attack,
     run_experiment,
     run_trials,
     snapshot,
+    write_edge_list,
     write_trace_csv,
 )
 from netattack import experiment as experiment_mod
@@ -217,13 +219,25 @@ class TestMaterializeGraph:
         b = materialize_graph(("ba", 100, 2), graph_seed=2)
         assert a.adjacency != b.adjacency
 
-    def test_edge_list(self, tmp_path):
+    def test_edge_list(self, tmp_path, monkeypatch):
         p = tmp_path / "net.txt"
         p.write_text("a b\nb c\n")
         g = materialize_graph(("edge_list", str(p)), graph_seed=0)
         assert g.node_count == 3
-        with pytest.raises(ConfigError, match="edge list not found"):
+        # any OSError of the read is a one-line ConfigError naming the path
+        with pytest.raises(ConfigError, match=r"^edge list .*gone.txt: No such file or directory$"):
             materialize_graph(("edge_list", str(tmp_path / "gone.txt")), graph_seed=0)
+        (tmp_path / "net.d").mkdir()
+        with pytest.raises(ConfigError, match=r"^edge list .*net.d: Is a directory$"):
+            materialize_graph(("edge_list", str(tmp_path / "net.d")), graph_seed=0)
+
+        # a chmod denies root nothing, so the denial is raised by hand
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(experiment_mod, "load_edge_list", denied)
+        with pytest.raises(ConfigError, match=r"^edge list .*net.txt: Permission denied$"):
+            materialize_graph(("edge_list", str(p)), graph_seed=0)
 
     def test_bad_edge_lists_are_config_errors(self, tmp_path):
         malformed = tmp_path / "malformed.txt"
@@ -403,6 +417,34 @@ class TestRunTrials:
         assert [traces for _, traces in run_trials(cfg, threads=5000)] == serial
         assert opened == [3, 4]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_edge_list_read_once_per_run(self, tmp_path, monkeypatch, caplog, opened, threads):
+        """Every trial gets the graph read at the start, so the file is
+        read once and its drops are logged once, at any --threads."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = tmp_path / "net.txt"
+        write_edge_list(generate_ba(BaParams(150, 2, seed=3)), path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("1 0\n7 7\n")  # a duplicate edge and a self-loop
+        reads = []
+
+        def counting(p):
+            reads.append(p)
+            return load_edge_list(p)
+
+        monkeypatch.setattr(experiment_mod, "load_edge_list", counting)
+        cfg = small_config(network=("edge_list", str(path)), trials=3)
+        results = run_trials(cfg, threads=threads)
+        assert len(reads) == 1
+        assert opened == ([] if threads == 1 else [2])
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 duplicate edge(s) and 1 self-loop(s)"
+        ]
+        assert [build_s for build_s, _ in results][1:] == [0.0, 0.0]
+        assert [traces for _, traces in results] == [
+            traces for _, traces in run_trials(cfg, threads=1)
+        ]
+
     def test_import_leaves_the_process_pool_unloaded(self):
         # only a run with more than one worker imports the pool
         code = (
@@ -549,6 +591,20 @@ class TestRunExperiment:
         assert len(csvs) == 4
         for name in csvs:
             assert (timed / name).read_bytes() == (slow_dir / name).read_bytes()
+
+    def test_edge_list_read_time_falls_on_trial_0(self, tmp_path, monkeypatch):
+        """The one read of an edge list is trial 0's build_s; the other
+        trials were handed the graph and report 0.0."""
+        path = tmp_path / "net.txt"
+        write_edge_list(generate_ba(BaParams(150, 2, seed=3)), path)
+        ticks = iter(range(10**6))
+        # a clock that leaps 1000 s per read makes the read take exactly 1000 s
+        monkeypatch.setattr("time.perf_counter", lambda: 1000.0 * next(ticks))
+        cfg = small_config(network=("edge_list", str(path)), trials=3)
+        manifest = run_experiment(cfg, output_dir=tmp_path / "out")
+        builds = {(row["trial"], row["build_s"]) for row in manifest["trials"]}
+        assert builds == {(0, 1000.0), (1, 0.0), (2, 0.0)}
+        assert all(isinstance(row["build_s"], float) for row in manifest["trials"])
 
     def test_d_curves_match_pinned_digests(self, tmp_path):
         """The bytes of a small d-measuring sweep's curves are pinned.

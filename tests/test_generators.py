@@ -178,6 +178,28 @@ class TestEdgeListIo:
         assert (g.node_count, g.edge_count, len(labels)) == (10_000, 19_997, 10_000)
         assert peak - before <= 2 * (kept - before)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lines_match_the_sorted_pairs(self, tmp_path_factory, data):
+        """Lines read off the ascending rows are the ones the sorted-pairs
+        rule writes: each live edge as (max, min), sorted, written "min max"."""
+        n = data.draw(st.integers(1, 12))
+        node = st.integers(0, n - 1)
+        g = build_graph(n, data.draw(st.lists(st.tuples(node, node), max_size=30)))
+        for v in data.draw(st.sets(node)):
+            g.crash_node(v)
+        pairs = sorted(
+            (u, v)
+            for v in range(n)
+            if g.alive[v]
+            for u in g.adjacency[v]
+            if u > v and g.alive[u]
+        )
+        path = tmp_path_factory.mktemp("edges") / "net.txt"
+        write_edge_list(g, path, comments=("c",))
+        want = "# c\n" + "".join(f"{lo} {hi}\n" for hi, lo in pairs)
+        assert path.read_text(encoding="utf-8") == want
+
     def test_written_edges_cover_live_subgraph_only(self, tmp_path):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         g.crash_node(3)
@@ -188,7 +210,8 @@ class TestEdgeListIo:
         assert loaded.edge_count == 2
 
 
-# valid edge lines worth more than one 16 KiB read block
+# 7000 valid edge lines (about 90 KiB) to put before a generated text,
+# so its lines and line numbers come long after the file's start
 _PAD = "".join(f"p{i} p{i + 1}\n" for i in range(7000))
 _LABEL = st.text(
     st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace()),
@@ -207,7 +230,7 @@ def edge_list_text(draw):
     """Edge-list file text: edges over a few labels (so duplicates in
     both orientations and self-loops), blank and whitespace-only lines,
     '#' lines with and without indent, tabs, LF and CRLF endings, and at
-    times a line of one or three labels, possibly past the first block."""
+    times a line of one or three labels, possibly after the padding."""
     labels = draw(st.lists(_LABEL, min_size=1, max_size=4, unique=True))
     label = st.sampled_from(labels)
     pairs = draw(st.lists(st.tuples(label, label), min_size=1, max_size=4))
