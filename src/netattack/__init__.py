@@ -10,7 +10,6 @@ from ._version import __version__
 from .graph import Graph, build_graph
 from .generators import (
     BaParams,
-    degree_histogram,
     generate_ba,
     load_edge_list,
     write_edge_list,
@@ -50,7 +49,6 @@ __all__ = [
     "generate_ba",
     "load_edge_list",
     "write_edge_list",
-    "degree_histogram",
     "ProtectedRule",
     "StrategySpec",
     "SnapshotCadence",

@@ -297,7 +297,6 @@ def run_attack(
     cadence: SnapshotCadence = SnapshotCadence(),
     early_stop: bool = False,
     criterion: CrashCriterion = CrashCriterion(),
-    intact_d: float | None = None,
 ) -> AttackTrace:
     """Drive one attack to its stopping point, then measure it.
 
@@ -307,9 +306,8 @@ def run_attack(
     step 0, whenever the removal count crosses a cadence mark, and at the
     last step. Early stop cuts the order at the first row at step 0 or a
     crossing that meets the crash criterion, so the cadence bounds how
-    precisely the crash point is located. ``intact_d`` is ``snapshot(g)``
-    when the caller already has it, so strategies run on one graph
-    measure the intact d once; None has it measured here.
+    precisely the crash point is located. ``g``'s intact d is measured
+    by the first attack that takes d, and filed on ``g`` for the rest.
 
     The order ends at ``stop``, the first removal count r with
     ``r / n >= budget``, or when the strategy stalls. Stop reasons, in
@@ -328,9 +326,7 @@ def run_attack(
     started = time.perf_counter()
     order, ends = _removal_order(g, spec, stop)
     ordered = time.perf_counter()
-    rows, kept, exact, d_s = measure(
-        g, order, ends, cadence, criterion, early_stop, intact_d=intact_d
-    )
+    rows, kept, exact, d_s = measure(g, order, ends, cadence, criterion, early_stop)
     if kept is not None:
         del ends[kept:]
         del order[ends[-1] if ends else 0 :]

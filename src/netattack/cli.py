@@ -6,9 +6,9 @@ Subcommands:
   sweep     run the full strategy-by-trial grid, write curves/thresholds
   report    replot curve CSVs into an SVG chart
 
-Exit codes: 0 success, 1 configuration error (a ConfigError, or a file
-that is missing or a directory), 2 runtime error (anything else, engine
-invariant failures included).
+Exit codes: 0 success, 1 configuration error (a ConfigError, an input
+file that cannot be read included), 2 runtime error (anything else,
+engine invariant failures and output write errors included).
 """
 
 from __future__ import annotations
@@ -146,13 +146,15 @@ def _cmd_report(args) -> int:
     col = f"{args.column}_mean"
     curves = []
     for path in args.curves:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-            try:
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = csv.DictReader(line for line in fh if not line.startswith("#"))
                 points = [(float(row["f"]), float(row[col])) for row in rows if row.get(col)]
-            except (KeyError, ValueError) as exc:
-                why = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else repr(exc)
-                raise ConfigError(f"{path}: not a curve CSV ({why})") from None
+        except OSError as exc:
+            raise ConfigError(f"curve CSV {path}: {exc.strerror}") from None
+        except (KeyError, ValueError) as exc:
+            why = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else repr(exc)
+            raise ConfigError(f"{path}: not a curve CSV ({why})") from None
         curves.append((Path(path).name.removesuffix(".curve.csv").removesuffix(".csv"), points))
     if not write_chart(out, curves, args.column):
         raise ConfigError(f"no {args.column} data found in the given curve files")
@@ -173,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort runtime report

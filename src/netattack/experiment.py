@@ -103,6 +103,8 @@ class ExperimentConfig:
             data = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: {exc.strerror}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_json(data, base_dir=path.parent)
@@ -218,8 +220,8 @@ def _trial_job(config: ExperimentConfig, ti: int, loaded) -> tuple[float, list[A
     read, or else grown and timed here with seed ``base_seed + ti``.
     The graph must hold every explicit initial_target. Every strategy
     runs on it, since no attack mutates it, with attack seed
-    ``base_seed + spec.seed + ti``. The first measures the intact d at
-    its step 0, and the rest take that value as theirs.
+    ``base_seed + spec.seed + ti``. The strategies are independent: the
+    graph, not a trace, carries the intact d from one to the next.
     """
     started = time.perf_counter()
     g = loaded[0] if loaded else materialize_graph(config.network, config.base_seed + ti)
@@ -231,20 +233,17 @@ def _trial_job(config: ExperimentConfig, ti: int, loaded) -> tuple[float, list[A
                 f" of the {g.node_count}-node graph"
             )
     criterion = CrashCriterion(config.crash_epsilon)
-    traces: list[AttackTrace] = []
-    for spec in config.strategies:
-        traces.append(
-            run_attack(
-                g,
-                spec.with_seed(config.base_seed + spec.seed + ti),
-                budget=config.budget,
-                cadence=config.cadence,
-                early_stop=config.early_stop,
-                criterion=criterion,
-                intact_d=traces[0].snapshots[0].cluster_diameter if traces else None,
-            )
+    return build_s, [
+        run_attack(
+            g,
+            spec.with_seed(config.base_seed + spec.seed + ti),
+            budget=config.budget,
+            cadence=config.cadence,
+            early_stop=config.early_stop,
+            criterion=criterion,
         )
-    return build_s, traces
+        for spec in config.strategies
+    ]
 
 
 def run_trials(config: ExperimentConfig, threads: int = 1) -> list[tuple[float, list[AttackTrace]]]:

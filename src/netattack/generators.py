@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -68,13 +67,6 @@ def generate_ba(params: BaParams) -> Graph:
         urn += row
         urn += [v] * m
     return Graph(adjacency)
-
-
-def degree_histogram(g: Graph) -> dict[int, int]:
-    """Live-degree counts over live nodes, keys ascending."""
-    alive = g.alive
-    counts = Counter(sum(alive[u] for u in nbrs) for nbrs, up in zip(g.adjacency, alive) if up)
-    return dict(sorted(counts.items()))
 
 
 def load_edge_list(path: str | Path) -> tuple[Graph, list[str]]:

@@ -22,6 +22,9 @@ class Graph:
     ``adjacency`` must not be mutated. Its rows ascend, which the line
     order of :func:`write_edge_list` relies on. ``_levels`` caches
     :meth:`degree_levels`: None until the graph's first attack asks.
+    ``_intact_d`` files the intact graph's d for :func:`metrics.measure`,
+    its only reader and writer: ``{}`` until a measure takes d, then
+    ``{0: d}``. It depends on ``adjacency`` alone, never on ``alive``.
     """
 
     __slots__ = (
@@ -32,6 +35,7 @@ class Graph:
         "dropped_duplicates",
         "dropped_self_loops",
         "_levels",
+        "_intact_d",
     )
 
     def __init__(
@@ -49,6 +53,7 @@ class Graph:
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
         self._levels = None
+        self._intact_d = {}
 
     # -- basic queries ---------------------------------------------------------
 

@@ -211,8 +211,6 @@ def measure(
     cadence: SnapshotCadence,
     criterion: CrashCriterion,
     early_stop: bool,
-    *,
-    intact_d: float | None = None,
 ) -> tuple[list[MetricsRow], int | None, float | None, float]:
     """Rows of S and d along a finished removal record of the fresh ``g``.
 
@@ -222,12 +220,12 @@ def measure(
     step 0, at each step whose removal count crosses an ``s_every`` or
     ``d_every`` mark, and at the last step. When ``d_every`` is set, d
     is measured at step 0, at ``d_every`` crossings and at the last
-    step, each as the pass that gives S reaches it; ``intact_d``, when
-    not None, is ``snapshot(g)`` already taken and serves as the step-0
-    d (a None snapshot is simply measured again). With ``early_stop``
-    the order is cut at the first crossing, step 0 included, at or after
-    the first step whose S meets the criterion, which one bisection
-    finds; d rows past the cut are measured and dropped.
+    step, each as the pass that gives S reaches it, but for a step-0 d
+    that an earlier measure filed on ``g``: once per graph. With
+    ``early_stop`` the order is cut at the first crossing, step 0
+    included, at or after the first step whose S meets the criterion,
+    which one bisection finds; d rows past the cut are measured and
+    dropped.
 
     Returns the rows, the number of steps kept by the cut (None when
     nothing was cut), the exact crash threshold (the removal fraction
@@ -250,7 +248,7 @@ def measure(
     # step 0 and the steps whose removal count passes a multiple of a mark
     crossings = sorted(crossing(s_every) | d_marks | {0})
     d_steps = d_marks | {0, last} if with_d else set()
-    known = {0: intact_d} if with_d and intact_d is not None else {}
+    known = g._intact_d if with_d else {}
 
     def timed_d(members, live):
         started = time.perf_counter()
@@ -258,6 +256,8 @@ def measure(
 
     sizes, timed = giant_sizes(g.adjacency, order, ends, d_steps.difference(known), timed_d)
     ds = {step: d for step, (d, _) in timed.items()} | known
+    if with_d:
+        g._intact_d = {0: ds[0]}
     d_s = sum(seconds for _, seconds in timed.values())
     # sizes never grow along the order, so the crashed steps are a suffix
     first = bisect_left(range(last + 1), True, key=lambda i: criterion.crashed(sizes[i] / n))

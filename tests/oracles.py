@@ -7,6 +7,7 @@ independent to disagree with.
 
 import heapq
 import random
+from collections import Counter
 from itertools import accumulate, chain, combinations
 
 
@@ -136,6 +137,12 @@ def bit_parallel_pair_sum(adjacency: list, members, live, chunk_words=4, columns
 
 def live_degree(adjacency: list, alive: list, v: int) -> int:
     return sum(1 for u in adjacency[v] if alive[u])
+
+
+def degree_histogram(adjacency: list, alive: list) -> dict[int, int]:
+    """Live-degree counts over live nodes, keys ascending."""
+    counts = Counter(sum(alive[u] for u in nbrs) for nbrs, up in zip(adjacency, alive) if up)
+    return dict(sorted(counts.items()))
 
 
 def max_live_degree(adjacency: list, alive: list, excluded=frozenset()):

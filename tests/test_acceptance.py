@@ -42,7 +42,6 @@ from netattack import (
     StrategySpec,
     build_graph,
     crash_threshold,
-    degree_histogram,
     generate_ba,
     giant_sizes,
     load_edge_list,
@@ -435,7 +434,7 @@ def test_criterion_10_generator_structure(ba10k, criterion_report):
     edges_ok = all(g.edge_count == expected_edges for g in ba10k.values())
     slopes = []
     for g in ba10k.values():
-        hist = degree_histogram(g)
+        hist = oracles.degree_histogram(g.adjacency, g.alive)
         ks = np.array(sorted(hist))
         counts = np.array([hist[k] for k in ks], dtype=float)
         ccdf = counts[::-1].cumsum()[::-1] / counts.sum()

@@ -555,6 +555,35 @@ class TestRunAttack:
             tuple(v for v in range(60) if degree[v] == d) for d in range(max(degree) + 1)
         )
 
+    def test_intact_d_is_filed_on_the_first_attack_that_takes_d(self, monkeypatch):
+        g = materialize_graph(("ba", 60, 2), 0)
+        assert g._intact_d == {}  # not at build time
+        run_attack(g, StrategySpec("random_failure"), cadence=SnapshotCadence(d_every=None))
+        assert g._intact_d == {}  # no d was taken
+        first = run_attack(g, StrategySpec("intentional"), cadence=SnapshotCadence(d_every=10))
+        d = first.snapshots[0].cluster_diameter
+        assert g._intact_d == {0: d}
+        want = oracles.floyd_warshall_mean(g.adjacency, [True] * 60, range(60))
+        assert d == pytest.approx(want)
+        intact = []
+        kernel = Graph.avg_shortest_path
+
+        def counted(self, members, live):
+            intact.append(all(live))
+            return kernel(self, members, live)
+
+        monkeypatch.setattr(Graph, "avg_shortest_path", counted)
+        again = run_attack(g, StrategySpec("random_failure"), cadence=SnapshotCadence(d_every=10))
+        assert again.snapshots[0].cluster_diameter == d
+        assert intact and not any(intact)  # only rows past step 0 ran the kernel
+        # a None d, of an intact cluster below 2 nodes, is filed as well
+        lone = build_graph(3, [])
+        for _ in range(2):
+            trace = run_attack(lone, StrategySpec("intentional"), cadence=SnapshotCadence(1, 1))
+            assert trace.snapshots[0].cluster_diameter is None
+            assert lone._intact_d == {0: None}
+        assert intact.count(True) == 1
+
     def test_requires_fresh_graph_and_sane_budget(self):
         g = star_plus_tail()
         with pytest.raises(ValueError, match="budget"):
@@ -930,7 +959,8 @@ class TestRunAttack:
         # live nodes at each d row, in any order: the pass meets the last first
         assert sorted(calls, reverse=True) == [300, 260, 220, 180]
         calls.clear()
-        intact_d = rows[0].cluster_diameter
-        shared, _, _, _ = measure(g, *record, with_d, CrashCriterion(), False, intact_d=intact_d)
-        assert shared == rows
+        # the first measure that took d filed the intact d on g
+        shared, _, _, _ = measure(g, *record, with_d, CrashCriterion(), False)
         assert sorted(calls, reverse=True) == [260, 220, 180]  # none at step 0
+        fresh = generate_ba(BaParams(300, 2, seed=12))
+        assert shared == rows == measure(fresh, *record, with_d, CrashCriterion(), False)[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,8 +206,70 @@ class TestErrorPaths:
 
     def test_report_input_that_is_a_directory_exit_1(self, tmp_path, capsys):
         assert main(["report", str(tmp_path), "--out", str(tmp_path / "x.svg")]) == 1
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert capsys.readouterr().err == f"error: curve CSV {tmp_path}: Is a directory\n"
+        gone = tmp_path / "gone.curve.csv"
+        assert main(["report", str(gone), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: curve CSV {gone}: No such file or directory\n"
         assert not (tmp_path / "x.svg").exists()
+
+    def test_unreadable_config_exit_1(self, tmp_path, capsys, monkeypatch):
+        """A config file the read is denied is the input's fault."""
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(tmp_path / "out"),
+        )
+        read_text = Path.read_text
+
+        def denied(self, *args, **kwargs):
+            if self == Path(cfg):
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        for command in ("sweep", "attack"):
+            assert main([command, "--config", cfg]) == 1, command
+            assert capsys.readouterr().err == f"error: config file {cfg}: Permission denied\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_curve_csv_exit_1(self, tmp_path, capsys, monkeypatch):
+        curve = tmp_path / "a.curve.csv"
+        curve.write_text("f,S_mean\n0.0,1.0\n", encoding="utf-8")
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # the name shadows the builtin inside the cli module alone
+        monkeypatch.setattr("netattack.cli.open", denied, raising=False)
+        assert main(["report", str(curve), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: curve CSV {curve}: Permission denied\n"
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_output_write_errors_exit_2(self, tmp_path, capsys, monkeypatch):
+        """Only inputs exit 1: an output that cannot be written is a runtime failure."""
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            network={"ba": {"n": 50, "m": 2}},
+            strategies=[{"kind": "intentional"}],
+            output_dir=str(tmp_path / "out"),
+        )
+
+        def unwritable(path, *args, **kwargs):
+            raise IsADirectoryError(21, "Is a directory", str(path))
+
+        def vanished(path, *args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+
+        monkeypatch.setattr("netattack.experiment.write_curve_csv", unwritable)
+        assert main(["sweep", "--config", cfg]) == 2
+        where = tmp_path / "out" / "intentional.curve.csv"
+        assert capsys.readouterr().err == f"runtime error: [Errno 21] Is a directory: '{where}'\n"
+        monkeypatch.setattr("netattack.cli.write_trace_csv", vanished)
+        trace = tmp_path / "t.csv"
+        assert main(["attack", "--config", cfg, "--out", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"runtime error: [Errno 2] No such file or directory: '{trace}'\n"
 
     @pytest.mark.parametrize(
         "name, plots",

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -29,7 +30,6 @@ from netattack import (
     run_attack,
     run_experiment,
     run_trials,
-    snapshot,
     write_edge_list,
     write_trace_csv,
 )
@@ -336,10 +336,25 @@ class TestRunTrials:
             assert all(g.alive)
         assert [len(traces) for _, traces in results] == [3] * 4
 
-    @pytest.mark.parametrize("d_every, per_trial", [(25, 1), (None, 0)])
-    def test_intact_d_measured_once_per_trial(self, monkeypatch, d_every, per_trial):
-        """The d kernel runs on the intact cluster once per trial, in the
-        first strategy's measure, and a sweep never calls snapshot."""
+    @pytest.mark.parametrize(
+        "network, threads, d_every, calls",
+        [
+            ("ba", 1, 25, 3),  # each trial grows its own graph
+            ("edge_list", 1, 25, 1),  # every trial gets the one graph read
+            ("edge_list", 2, 25, 3),  # each job gets its own copy of it
+            ("ba", 1, None, 0),
+        ],
+    )
+    def test_intact_d_measured_once_per_graph(
+        self, tmp_path, monkeypatch, opened, network, threads, d_every, calls
+    ):
+        """The d kernel runs on the intact cluster once per graph a trial
+        job sees, in the first measure that takes d, and a sweep never
+        calls snapshot."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = tmp_path / "net.txt"
+        write_edge_list(generate_ba(BaParams(150, 2, seed=3)), path)
+        source = ("ba", 150, 2) if network == "ba" else ("edge_list", str(path))
         intact = []
         kernel = Graph.avg_shortest_path
 
@@ -355,9 +370,12 @@ class TestRunTrials:
         monkeypatch.setattr(metrics_mod, "snapshot", unused)
         assert not hasattr(experiment_mod, "snapshot")
         cadence = SnapshotCadence(s_every=5, d_every=d_every)
-        cfg = small_config(strategies=THREE_STRATEGIES, trials=3, cadence=cadence)
-        results = run_trials(cfg)
-        assert len(intact) == 3 * per_trial
+        cfg = small_config(
+            network=source, strategies=THREE_STRATEGIES, trials=3, cadence=cadence
+        )
+        results = run_trials(cfg, threads=threads)
+        assert len(intact) == calls
+        assert opened == ([] if threads == 1 else [2])
         for _, traces in results:
             for trace in traces:
                 first = trace.snapshots[0]
@@ -367,7 +385,8 @@ class TestRunTrials:
 
     @pytest.fixture
     def opened(self, monkeypatch):
-        """Sizes of the pools run_trials opens; the jobs run in this process."""
+        """Sizes of the pools run_trials opens; the jobs run in this process,
+        each on pickled copies of its arguments, as a process pool's do."""
         opened = []
 
         class RecordingPool:
@@ -381,7 +400,7 @@ class TestRunTrials:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                return (fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables))
 
         # run_trials imports the pool inside its multi-worker branch
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -459,7 +478,8 @@ class TestRunTrials:
 
 
 class TestSharedIntactD:
-    """run_attack given the intact d matches run_attack measuring it itself."""
+    """An attack that reads the intact d filed on its graph matches one on
+    a fresh graph built from the same edges."""
 
     SPECS = (
         StrategySpec("intentional"),
@@ -471,13 +491,14 @@ class TestSharedIntactD:
 
     @staticmethod
     def assert_same(g, spec, **kwargs):
-        own = run_attack(g, spec, **kwargs)
-        shared = run_attack(g, spec, intact_d=snapshot(g), **kwargs)
-        assert shared.removals == own.removals
-        assert shared.snapshots == own.snapshots
-        assert shared.stop_reason == own.stop_reason
+        edges = [(u, v) for u, row in enumerate(g.adjacency) for v in row if u < v]
+        fresh = run_attack(build_graph(g.node_count, edges), spec, **kwargs)
+        for shared in (run_attack(g, spec, **kwargs), run_attack(g, spec, **kwargs)):
+            assert shared.removals == fresh.removals
+            assert shared.snapshots == fresh.snapshots
+            assert shared.stop_reason == fresh.stop_reason
         assert g.live_count == g.node_count
-        return own
+        return fresh
 
     def test_seeded_random_and_ba_graphs(self):
         rng = random.Random(23)
