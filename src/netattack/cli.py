@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -155,6 +156,8 @@ def _cmd_report(args) -> int:
         except (KeyError, ValueError) as exc:
             why = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else repr(exc)
             raise ConfigError(f"{path}: not a curve CSV ({why})") from None
+        if not all(math.isfinite(v) for point in points for v in point):
+            raise ConfigError(f"{path}: not a curve CSV (nan or infinite value)")
         curves.append((Path(path).name.removesuffix(".curve.csv").removesuffix(".csv"), points))
     if not write_chart(out, curves, args.column):
         raise ConfigError(f"no {args.column} data found in the given curve files")

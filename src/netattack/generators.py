@@ -75,19 +75,20 @@ def load_edge_list(path: str | Path) -> tuple[Graph, list[str]]:
     Each non-comment line is "label_a label_b". Labels are arbitrary
     tokens mapped to dense ids in first-seen order; the returned list
     gives the original label for each id. Lines whose first token starts
-    with '#' and blank lines are skipped. A malformed line raises
-    ValueError naming the 1-based line number. The file is read line by
-    line in one pass. Each edge goes straight into its two adjacency
-    rows, self-loops counted and skipped, and :func:`graph.finish_graph`
-    drops the duplicates once the file is read, so loading holds about
-    the graph, never a copy per edge.
+    with '#', blank lines and a leading UTF-8 byte order mark are
+    skipped. A malformed line raises ValueError naming the 1-based line
+    number. The file is read line by line in one pass. Each edge goes
+    straight into its two adjacency rows, self-loops counted and
+    skipped, and :func:`graph.finish_graph` drops the duplicates once
+    the file is read, so loading holds about the graph, never a copy per
+    edge.
     """
     path = Path(path)
     index: dict[str, int] = {}
     get = index.get
     adjacency: list[list[int]] = []
     self_loops = 0
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0][0] == "#":

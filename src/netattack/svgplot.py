@@ -38,7 +38,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def render_line_chart(series: Sequence[Curve], y_label: str) -> str:
-    """Render labelled (f, value) curves to an SVG document string."""
+    """Render labelled (f, value) curves, labels escaped, to an SVG document string."""
     pts = [p for _, points in series for p in points]
     if not pts:
         raise ValueError("nothing to plot")
@@ -112,7 +112,8 @@ def render_line_chart(series: Sequence[Curve], y_label: str) -> str:
         lx = left + plot_w - 150
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(f'<text x="{lx + 28}" y="{ly}">{text}</text>')
     out.append("</svg>")
     return "\n".join(out)
 

@@ -444,13 +444,14 @@ def read_edge_list(path) -> tuple[list, list, int, int]:
     """(adjacency, labels, duplicates, self-loops) of an edge-list file,
     read one line at a time.
 
-    Blank lines and lines whose first non-blank character is '#' are
-    skipped; every other line must hold two labels, else ValueError names
-    ``path:line``. Labels get dense ids in first-seen order.
+    A leading byte order mark, blank lines and lines whose first
+    non-blank character is '#' are skipped; every other line must hold
+    two labels, else ValueError names ``path:line``. Labels get dense ids
+    in first-seen order.
     """
     index: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

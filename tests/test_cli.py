@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -172,6 +173,15 @@ class TestSweepAndReport:
         assert "intentional" in content and "greedy_sequential" in content
         rc = main(["report", str(out / "intentional.curve.csv"), "--out", str(svg), "--column", "d"])
         assert rc == 0
+
+    def test_report_escapes_labels(self, swept, capsys):
+        """A curve file name holding XML markup still charts as well-formed SVG."""
+        curve = swept / "S&P<1>.curve.csv"
+        curve.write_bytes((swept / "out" / "intentional.curve.csv").read_bytes())
+        svg = swept / "chart.svg"
+        assert main(["report", str(curve), "--out", str(svg)]) == 0
+        texts = minidom.parse(str(svg)).getElementsByTagName("text")
+        assert "S&P<1>" in [t.firstChild.data for t in texts]
 
     def test_report_without_requested_column(self, tmp_path, capsys):
         cfg = write_config(
@@ -529,8 +539,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "text",
-        [b"f,S_mean\n0.0,abc\n", b"x,S_mean\n0.0,1.0\n", b"f,S_mean\n0.0,1.0\n\xff\n"],
-        ids=["value", "column", "not-utf8"],
+        [
+            b"f,S_mean\n0.0,abc\n",
+            b"x,S_mean\n0.0,1.0\n",
+            b"f,S_mean\n0.0,1.0\n\xff\n",
+            b"f,S_mean\n0.0,1.0\n0.5,nan\n",
+            b"f,S_mean\n0.0,1.0\ninf,0.5\n",
+        ],
+        ids=["value", "column", "not-utf8", "nan", "inf"],
     )
     def test_malformed_curve_csv_exit_1(self, tmp_path, capsys, text):
         curve = tmp_path / "bad.curve.csv"

@@ -152,6 +152,15 @@ class TestEdgeListIo:
         assert labels == ["beta", "alpha", "gamma"]
         assert g.live_neighbors(1) == {0, 2}
 
+    @pytest.mark.parametrize("header", ["# header\n", ""], ids=["comment", "edge"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, header):
+        """A BOM neither hides a first-line comment nor joins the first label."""
+        path = tmp_path / "net.txt"
+        path.write_text(f"\ufeff{header}a b\nb c\nc a\n", encoding="utf-8")
+        g, labels = load_edge_list(path)
+        assert labels == ["a", "b", "c"]
+        assert (g.node_count, g.edge_count) == (3, 3)
+
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("a b\nc\n")
@@ -228,8 +237,9 @@ _COMMENT_TEXT = st.text(
 def edge_list_text(draw):
     """Edge-list file text: edges over a few labels (so duplicates in
     both orientations and self-loops), blank and whitespace-only lines,
-    '#' lines with and without indent, tabs, LF and CRLF endings, and at
-    times a line of one or three labels, possibly after the padding."""
+    '#' lines with and without indent, tabs, LF and CRLF endings, at
+    times a line of one or three labels, possibly after the padding, and
+    at times a leading byte order mark."""
     labels = draw(st.lists(_LABEL, min_size=1, max_size=4, unique=True))
     label = st.sampled_from(labels)
     pairs = draw(st.lists(st.tuples(label, label), min_size=1, max_size=4))
@@ -249,7 +259,8 @@ def edge_list_text(draw):
     text = "".join(line + end for line, end in zip(lines, ends))
     if lines and draw(st.booleans()):
         text = text[: -len(ends[-1])]  # no newline after the last line
-    return (_PAD if draw(st.booleans()) else "") + text
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + (_PAD if draw(st.booleans()) else "") + text
 
 
 class TestEdgeListOracle:

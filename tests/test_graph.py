@@ -467,11 +467,21 @@ class TestFold:
 
 def test_import_leaves_numpy_unloaded(tmp_path):
     # numpy and the distance kernel load on the first d row, so start-up
-    # and a d-free sweep skip them; statistics would pull in fractions
-    # and decimal; logging loads only to warn of dropped edges
+    # and a d-free sweep of every kind and protection rule skip them, and
+    # such a sweep runs the same where numpy is not installed; statistics
+    # would pull in fractions and decimal; logging loads only to warn of
+    # dropped edges
     config = {
         "network": {"ba": {"n": 300, "m": 2}},
-        "strategies": [{"kind": "intentional"}, {"kind": "random_failure"}],
+        "strategies": [
+            {"kind": "intentional"},
+            {"kind": "random_failure"},
+            {"kind": "greedy_sequential"},
+            {"kind": "coordinated"},
+            {"kind": "lower_bounded_parallel", "threshold": 4},
+            {"kind": "intentional", "protected": {"kind": "miss_biggest_hub"}},
+            {"kind": "intentional", "protected": {"kind": "miss_medium_band", "miss_frac": 0.5}},
+        ],
         "trials": 2,
         "snapshot_cadence": {"s_every": 10, "d_every": None},
         "plots": True,
@@ -490,4 +500,4 @@ def test_import_leaves_numpy_unloaded(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["[]", "[]"]
-    assert (tmp_path / "out" / "intentional.curve.csv").exists()
+    assert len(list((tmp_path / "out").glob("*.curve.csv"))) == 7
