@@ -20,12 +20,13 @@ The three local-information strategies start from an initial target
 walking it.
 
 Each kind runs a removal loop of its own, on plain lists that hold only
-what its selector reads, and never mutates the graph. The intentional
-attack scans degree levels from the top down. Random failure keeps the
-live ids alone; the greedy walker adds live flags and degrees for its
-walk; coordinated keeps flags, degrees and its frontier on a lazy
-max-heap of int keys, and no live ids; the lower-bounded avalanche
-keeps live flags only.
+what its selector reads, and never mutates the graph. Random failure
+keeps the live ids alone; the lower-bounded avalanche live flags alone.
+The other three keep live degrees, in which a crashed node holds a
+value below 0, and pick the highest live degree, smallest id on ties:
+the intentional attack by degree levels, the greedy walker among the
+last kill's neighbours (with live ids to jump to), coordinated off its
+frontier on a lazy max-heap of int keys.
 """
 
 from __future__ import annotations
@@ -209,47 +210,41 @@ def select_random_failure(live: list[int], rng: random.Random) -> int | None:
 
 
 def select_greedy_sequential(
-    alive: list[bool], neighbors: list[int], degree: list[int], live: list[int], rng: random.Random
+    degree: list[int], neighbors: list[int], live: list[int], rng: random.Random
 ) -> int:
     """Best live node among the last kill's ``neighbors``, else a random jump.
 
-    ``live`` is never empty here."""
+    Crashed nodes are below 0 and never win. Rows ascend, so the first
+    neighbour at the top degree is the smallest id; ``live`` is never empty."""
     best = None
     best_degree = -1
     for u in neighbors:
-        if alive[u]:
-            d = degree[u]
-            if d > best_degree or (d == best_degree and u < best):
-                best, best_degree = u, d
+        if degree[u] > best_degree:
+            best, best_degree = u, degree[u]
     return best if best is not None else select_random_failure(live, rng)
 
 
 def select_coordinated(
-    alive: list[bool],
-    heap: list[int],
-    degree: list[int],
-    live_ids: Callable[[], list[int]],
-    rng: random.Random,
+    degree: list[int], heap: list[int], live_ids: Callable[[], list[int]], rng: random.Random
 ) -> int | None:
     """Best live node on the crashed set's boundary, else a random restart.
 
-    ``heap`` gains a node once, when it first neighbors a crashed node,
-    so its live entries are exactly the frontier, which can gain nodes
-    above the last pick's degree: hence a lazy max-heap, not degree
-    levels. A key ``v - degree * n`` orders as ``(-degree, v)`` does and
-    decodes as ``v = key % n``. Live degrees only fall, so a key bounds
-    its node's degree from above: a crashed top is dropped, a stale one
-    re-keyed in place, and an exact one is the pick, left on the heap.
-    The restart is :func:`select_random_failure`'s draw over
-    ``live_ids()``, asked for only then, so the loop need keep no live
-    ids in step (:func:`_replay_live`). On a connected graph it never
-    restarts.
+    ``heap`` gains a node once, when it first neighbors a crashed node, so
+    its live entries are exactly the frontier, which can gain nodes above
+    the last pick's degree: hence a lazy max-heap, not degree levels. A
+    key ``v - degree * n`` orders as ``(-degree, v)`` does and decodes as
+    ``v = key % n``. Live degrees only fall, so a key bounds its node's
+    degree from above: a crashed top (degree below 0) is dropped, a stale
+    one re-keyed in place, and an exact one is the pick, left on the heap.
+    The restart is :func:`select_random_failure`'s draw over ``live_ids()``,
+    asked for only then, so the loop need keep no live ids in step
+    (:func:`_replay_live`). On a connected graph it never restarts.
     """
-    n = len(alive)
+    n = len(degree)
     while heap:
         key = heap[0]
         v = key % n
-        if not alive[v]:
+        if degree[v] < 0:
             heappop(heap)
         else:
             exact = v - degree[v] * n
@@ -354,14 +349,14 @@ def run_attack(
 def _removal_order(g: Graph, spec: StrategySpec, stop: int) -> tuple[list[int], list[int]]:
     """Crash batch by batch until ``stop`` nodes are down or the attack stalls.
 
-    Returns the removal record, ``order`` and ``ends`` as
-    :class:`AttackTrace` keeps them. Each kind runs its own loop on plain
-    lists that hold only what its selector reads, and leaves ``g`` as it
-    is. The first target of every kind but the intentional one is
-    :func:`_resolve_initial`'s; each later pick is one call of the
-    kind's selector, looked up as a module global so that a wrapper put
-    there sees every call. Only the lower-bounded avalanche can come up
-    empty, which stalls it.
+    Returns ``order`` and ``ends`` as :class:`AttackTrace` keeps them.
+    Each kind runs its own loop on plain lists that hold only what its
+    selector reads, and leaves ``g`` as it is; a crashed node's live
+    degree, where one is kept, is below 0. The first target of every
+    kind but the intentional one is :func:`_resolve_initial`'s; each
+    later pick is one call of the kind's selector, looked up as a module
+    global so that a wrapper put there sees every call. Only the
+    lower-bounded avalanche can come up empty, which stalls it.
     """
     rng = random.Random(spec.seed)
     protected = build_protected_set(g, spec.protected, rng)
@@ -424,32 +419,29 @@ def _random_order(
 def _greedy_order(
     adjacency: list[list[int]], first: int, rng: random.Random, stop: int
 ) -> list[int]:
-    """greedy_sequential's removals, from live flags and degrees, and live ids to jump to."""
-    n = len(adjacency)
-    alive = [True] * n
-    degree = list(map(len, adjacency))  # read for live nodes only
-    live = list(range(n))
+    """greedy_sequential's removals, from live degrees, and live ids to jump to."""
+    degree = list(map(len, adjacency))
+    live = list(range(len(adjacency)))
     pos = list(live)
     order = [first]
     while True:
         v = order[-1]
-        alive[v] = False
+        degree[v] = -1
         for u in adjacency[v]:
             degree[u] -= 1
         _swap_remove(live, pos, v)
         if len(order) == stop:
             return order
-        order.append(select_greedy_sequential(alive, adjacency[v], degree, live, rng))
+        order.append(select_greedy_sequential(degree, adjacency[v], live, rng))
 
 
 def _coordinated_order(
     adjacency: list[list[int]], first: int, rng: random.Random, stop: int
 ) -> list[int]:
-    """coordinated's removals, from live flags and degrees and a lazy max-heap of
-    keys ``v - degree * n``, which gains a node once, when it first joins the
+    """coordinated's removals, from live degrees and a lazy max-heap of keys
+    ``v - degree * n``, which gains a node once, when it first joins the
     frontier. A restart replays the live ids from the order."""
     n = len(adjacency)
-    alive = [True] * n
     degree = list(map(len, adjacency))
     heap: list[int] = []
     queued = bytearray(n)
@@ -457,18 +449,18 @@ def _coordinated_order(
     live_ids = _replay_live(n, order)
     while True:
         v = order[-1]
-        alive[v] = False
+        degree[v] = -1
         if heap:  # a non-empty heap supplied the pick, as its top
             heappop(heap)
         for u in adjacency[v]:
-            if alive[u]:
+            if degree[u] >= 0:
                 degree[u] -= 1
                 if not queued[u]:
                     queued[u] = 1
                     heappush(heap, u - degree[u] * n)
         if len(order) == stop:
             return order
-        order.append(select_coordinated(alive, heap, degree, live_ids, rng))
+        order.append(select_coordinated(degree, heap, live_ids, rng))
 
 
 def _lower_bounded_order(

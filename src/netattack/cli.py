@@ -112,6 +112,8 @@ def _cmd_attack(args) -> int:
         raise ConfigError("no trace output path (config output_dir or --out)")
     else:
         out = _out_dir(config.output_dir, "output_dir") / f"trace_{spec.label}.csv"
+        if out.is_dir():
+            raise ConfigError(f"output {out}: is a directory")
     # trial 0 of a one-strategy sweep: its graph and attack seeds are the sweep's
     [(_, [trace])] = run_trials(dataclasses.replace(config, strategies=(spec,), trials=1))
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -19,9 +19,9 @@ class Graph:
     """Simple undirected graph supporting irreversible node crashes.
 
     Build instances through :func:`build_graph` or the generators module.
-    ``adjacency`` must not be mutated. Its rows ascend, which the line
-    order of :func:`write_edge_list` relies on. ``_levels`` caches
-    :meth:`degree_levels`: None until the graph's first attack asks.
+    ``adjacency`` must not be mutated. Its rows ascend (tests check every
+    builder), for :func:`write_edge_list` and the greedy tie rule. ``_levels``
+    caches :meth:`degree_levels`: None until the graph's first attack asks.
     ``_intact_d`` files the intact graph's d for :func:`metrics.measure`,
     its only reader and writer: ``{}`` until a measure takes d, then
     ``{0: d}``. It depends on ``adjacency`` alone, never on ``alive``.

@@ -61,11 +61,11 @@ def decode(key, n):
     return key % n, -(key // n)
 
 
-def pick(select, g, heap, *rest):
-    """Call a heap selector on g's crash state, crashed nodes at degree 0."""
+def pick(select, g, *rest):
+    """Call a local selector on g's crash state, crashed nodes at degree -1."""
     alive = g.alive
-    degree = [oracles.live_degree(g.adjacency, alive, v) if up else 0 for v, up in enumerate(alive)]
-    return select(alive, heap, degree, *rest)
+    degree = [oracles.live_degree(g.adjacency, alive, v) if up else -1 for v, up in enumerate(alive)]
+    return select(degree, *rest)
 
 
 def star_plus_tail(spokes: int = 5, tail: int = 3):
@@ -414,15 +414,15 @@ class TestSelectors:
         by_tuple = sorted(range(n), key=lambda v: (-degree[v], v))
         assert sorted(keys) == [v - degree[v] * n for v in by_tuple]
         assert [decode(key, n) for key in keys] == list(enumerate(degree))
-        alive = [True] * n
+        live_degree = list(degree)
         heap = list(keys)
         heapq.heapify(heap)
         popped = []
         # no live ids to restart from, so an empty frontier ends on None
-        while (v := select_coordinated(alive, heap, degree, lambda: [], random.Random(0))) is not None:
+        while (v := select_coordinated(live_degree, heap, lambda: [], random.Random(0))) is not None:
             popped.append(v)
             heapq.heappop(heap)
-            alive[v] = False
+            live_degree[v] = -1
         assert popped == by_tuple
 
     def test_greedy_prefers_anchor_neighborhood(self):
@@ -440,6 +440,19 @@ class TestSelectors:
         got = pick(select_greedy_sequential, g, g.adjacency[0], live_ids(g), random.Random(0))
         assert got == 2
 
+    def test_greedy_live_degree_0_beats_crashed_neighbors(self):
+        # 5 fell last; its neighbors 0 and 1 crashed before it, 2 is live
+        # with no live neighbor left, and 3-4 is a live edge elsewhere
+        degree = [-2, -1, 0, 1, 1, -3]
+        for seed in range(10):  # a jump would draw 3 or 4 for some seed
+            assert select_greedy_sequential(degree, [0, 1, 2], [2, 3, 4], random.Random(seed)) == 2
+
+    def test_greedy_ties_go_to_the_smallest_id(self):
+        degree = [-1, 2, 3, 2, 3, 3]
+        # rows ascend, so the first neighbor at the top degree is the smallest id
+        assert select_greedy_sequential(degree, [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], None) == 2
+        assert select_greedy_sequential(degree, [1, 3], [1, 2, 3, 4, 5], None) == 1
+
     def test_coordinated_scans_frontier_with_total_order(self):
         g = build_graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
         g.crash_node(0)
@@ -452,6 +465,14 @@ class TestSelectors:
         assert pick(select_coordinated, g, heap, lambda: live_ids(g), random.Random(0)) == 1
         restart = pick(select_coordinated, g, [], lambda: live_ids(g), random.Random(0))
         assert restart in range(g.node_count) and g.alive[restart]
+
+    def test_coordinated_pops_a_crashed_top(self):
+        # 0 crashed after it was keyed at degree 2; 1 and 2 are exact at degree 1
+        n = 3
+        heap = [0 - 2 * n, 1 - 1 * n, 2 - 1 * n]
+        assert select_coordinated([-1, 1, 1], heap, lambda: [1, 2], random.Random(0)) == 1
+        # popped, not re-keyed as 0 - (-1) * n: only the live entries remain
+        assert sorted(heap) == [1 - n, 2 - n]
 
     def test_replayed_live_ids_match_swap_removes(self):
         """The restart's live ids are those a list kept in step with every
@@ -790,15 +811,15 @@ class TestRunAttack:
         """At every pick the heap holds each frontier node once, keyed from above."""
         picks = []
 
-        def checked(alive, heap, degree, *rest):
-            n = len(alive)
+        def checked(degree, heap, *rest):
+            n = len(degree)
             decoded = [decode(key, n) for key in heap]
             ids = [v for v, _ in decoded]
             assert len(ids) == len(set(ids))
             assert all(bound >= degree[v] for v, bound in decoded)
-            frontier = {u for v in range(n) if not alive[v] for u in g.adjacency[v] if alive[u]}
+            frontier = {u for v in range(n) if degree[v] < 0 for u in g.adjacency[v] if degree[u] >= 0}
             assert set(ids) == frontier
-            picks.append(select_coordinated(alive, heap, degree, *rest))
+            picks.append(select_coordinated(degree, heap, *rest))
             return picks[-1]
 
         monkeypatch.setattr(attacks, "select_coordinated", checked)

@@ -288,6 +288,7 @@ class TestErrorPaths:
             ("thresholds.csv", False),
             ("manifest.json", False),
             ("curves_d.svg", True),
+            ("trace_intentional.csv", False),  # what attack writes without --out
         ],
     )
     def test_output_name_that_is_a_directory_fails_before_any_trial(
@@ -306,9 +307,11 @@ class TestErrorPaths:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the output names were checked")
 
+        command = "attack" if name.startswith("trace_") else "sweep"
         with monkeypatch.context() as m:
             m.setattr("netattack.experiment.run_trials", no_trials)
-            assert main(["sweep", "--config", cfg]) == 1
+            m.setattr("netattack.cli.run_trials", no_trials)
+            assert main([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: output {out / name}: is a directory\n"
         assert [p.name for p in out.iterdir()] == [name]
         # a chart name is free to be a directory when no chart is drawn
